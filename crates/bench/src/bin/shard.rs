@@ -12,8 +12,8 @@
 //! `UpdateBatch`, which is applied to both the sharded and the whole-set
 //! handle and re-verified.
 //!
-//! On this repository's single-core CI box the workers time-share and the
-//! topology degrades to unpinned scheduling (see
+//! On a single-CPU host the workers time-share and the topology degrades
+//! to unpinned scheduling (see
 //! `nuevomatch::system::runtime::topology`), so the pps columns measure
 //! overhead, not scaling; the structure is what CI guards. A
 //! `BENCH_shard.json` artifact (path overridable with `NM_BENCH_JSON`)

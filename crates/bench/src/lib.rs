@@ -1,6 +1,6 @@
 //! # nm-bench — the experiment harness
 //!
-//! One binary per paper table/figure (see DESIGN.md §4 for the index):
+//! One binary per paper table/figure:
 //!
 //! ```text
 //! cargo run -p nm-bench --release --bin table1       # … table2, table3

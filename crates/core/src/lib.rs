@@ -51,9 +51,6 @@
 //! [`ClassifierHandle`]: readers pin generation-stamped immutable snapshots
 //! and never block, a writer applies `UpdateBatch` transactions, and
 //! `retrain()` republishes fresh models RCU-style (see [`system::handle`]).
-//!
-//! See `DESIGN.md` at the workspace root for the full system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
 
 #![warn(missing_docs)]
 

@@ -21,7 +21,7 @@ pub mod update;
 pub use breakdown::{measure_breakdown, LookupBreakdown};
 pub use flow_cache::{CacheStats, FlowCache};
 pub use handle::{ClassifierHandle, NmSnapshot};
-pub use parallel::{run_batched, ParallelStats};
+pub use parallel::run_batched;
 pub use retrain::PartialRetrainReport;
 pub use runtime::{
     PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier, ShardedHandle, Topology,

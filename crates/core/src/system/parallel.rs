@@ -5,8 +5,8 @@
 //! sharded-runtime refactor: a [`Runtime`] executes *plans* —
 //! [`SplitPlan`](crate::system::runtime::SplitPlan) (NuevoMatch's
 //! iSet/remainder two-worker split),
-//! [`Replicated`](crate::system::runtime::Replicated) (N whole-set shards,
-//! the baselines' mode), and the sharded data planes
+//! [`Runtime::run_replicated`] (N whole-set shards, the baselines' mode),
+//! and the sharded data planes
 //! ([`ShardedHandle`](crate::system::runtime::ShardedHandle) /
 //! [`ShardedClassifier`](crate::system::runtime::ShardedClassifier)) — with
 //! NUMA-aware worker pinning, a configurable pipeline depth, per-worker
@@ -17,47 +17,41 @@
 //! This module keeps the two single-threaded reference loops —
 //! [`run_sequential`] (the §5.2 per-key methodology) and [`run_batched`]
 //! (the `classify_batch` path) — which every parallel checksum is validated
-//! against, plus the [`ParallelStats`] shape the wrappers and benches
-//! consume.
+//! against. Both report the runtime's [`RunStats`] as one shard served by
+//! one worker.
 //!
-//! **Single-core CI fallback.** This repository's CI machine has a single
-//! physical core. The runtime's [`Topology`](crate::system::runtime::Topology)
-//! reports that shape and schedules every worker unpinned (pinning a
-//! pipeline onto one core would only serialise it behind the dispatcher),
-//! so the measured *numbers* time-share; the harness structure is identical
-//! to the paper's and scales on real multi-core hardware. EXPERIMENTS.md
-//! discusses the caveat.
+//! [`Runtime`]: crate::system::runtime::Runtime
+//! [`Runtime::run_split`]: crate::system::runtime::Runtime::run_split
+//! [`Runtime::run_replicated`]: crate::system::runtime::Runtime::run_replicated
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::packet::TraceBuf;
+use nm_common::update::Generation;
 
 use super::runtime::{fold_checksum, RunStats};
 
 /// Default batch size from the paper.
 pub const BATCH: usize = 128;
 
-/// Result of a parallel run (the legacy stats shape; the runtime's richer
-/// [`RunStats`] converts into it).
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelStats {
-    /// Wall-clock seconds for the whole trace.
-    pub seconds: f64,
-    /// Packets per second.
-    pub pps: f64,
-    /// Mean per-batch latency in nanoseconds (dispatch → merged).
-    pub mean_batch_latency_ns: f64,
-    /// Fold of matched rule ids (sequential-equivalence checks).
-    pub checksum: u64,
-}
-
-impl From<RunStats> for ParallelStats {
-    fn from(s: RunStats) -> Self {
-        Self {
-            seconds: s.seconds,
-            pps: s.pps,
-            mean_batch_latency_ns: s.mean_batch_latency_ns,
-            checksum: s.checksum,
-        }
+/// Stats of a reference loop on the caller's thread: one shard, one
+/// worker, every packet steered to it.
+fn reference_stats(
+    c: &dyn Classifier,
+    generation: Generation,
+    n: usize,
+    batches: usize,
+    seconds: f64,
+    checksum: u64,
+) -> RunStats {
+    RunStats {
+        seconds,
+        pps: n as f64 / seconds.max(1e-12),
+        mean_batch_latency_ns: seconds * 1e9 / batches.max(1) as f64,
+        checksum,
+        batches,
+        steered: vec![n as u64],
+        generations: (generation, c.generation()),
+        ..RunStats::empty(1, 1)
     }
 }
 
@@ -66,17 +60,15 @@ impl From<RunStats> for ParallelStats {
 /// caller's thread. The checksum folds per-packet results in trace order, so
 /// it must equal [`run_sequential`]'s — the batch-size sweep in
 /// `nm-bench --bin batch` measures exactly this path against `batch = 1`.
-pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> ParallelStats {
+pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> RunStats {
     let n = trace.len();
-    if n == 0 {
-        return ParallelStats { seconds: 0.0, pps: 0.0, mean_batch_latency_ns: 0.0, checksum: 0 };
-    }
     let batch = batch.max(1);
     let stride = trace.stride();
     let raw = trace.raw();
     let mut out: Vec<Option<MatchResult>> = vec![None; batch];
     let mut checksum = 0u64;
     let n_batches = n.div_ceil(batch);
+    let generation = c.generation();
     let start = std::time::Instant::now();
     let mut lo = 0usize;
     while lo < n {
@@ -87,32 +79,21 @@ pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> Parall
         }
         lo = hi;
     }
-    let seconds = start.elapsed().as_secs_f64();
-    ParallelStats {
-        seconds,
-        pps: n as f64 / seconds.max(1e-12),
-        mean_batch_latency_ns: seconds * 1e9 / n_batches as f64,
-        checksum,
-    }
+    reference_stats(c, generation, n, n_batches, start.elapsed().as_secs_f64(), checksum)
 }
 
 /// Sequential reference run (single core, early termination as configured) —
 /// the §5.2 single-core methodology, also used to validate the parallel
 /// paths' checksums.
-pub fn run_sequential(c: &dyn Classifier, trace: &TraceBuf) -> ParallelStats {
+pub fn run_sequential(c: &dyn Classifier, trace: &TraceBuf) -> RunStats {
     let n = trace.len();
+    let generation = c.generation();
     let start = std::time::Instant::now();
     let mut checksum = 0u64;
     for key in trace.iter() {
         fold_checksum(&mut checksum, c.classify(key));
     }
-    let seconds = start.elapsed().as_secs_f64();
-    ParallelStats {
-        seconds,
-        pps: n as f64 / seconds.max(1e-12),
-        mean_batch_latency_ns: seconds * 1e9 / n.max(1) as f64,
-        checksum,
-    }
+    reference_stats(c, generation, n, n, start.elapsed().as_secs_f64(), checksum)
 }
 
 #[cfg(test)]
@@ -162,7 +143,7 @@ mod tests {
     fn split_runtime_matches_sequential() {
         let (nm, trace) = setup();
         let seq = run_sequential(&nm, &trace);
-        let par: ParallelStats = rt(128).run_split(&nm, &trace).unwrap().into();
+        let par = rt(128).run_split(&nm, &trace).unwrap();
         assert_eq!(seq.checksum, par.checksum);
         assert!(par.pps > 0.0);
         assert!(par.mean_batch_latency_ns > 0.0);

@@ -5,13 +5,15 @@
 //! pinned nothing, shared one flow cache and could not shard the rule-set.
 //! The runtime splits the same work along explicit axes:
 //!
-//! * **A plan** decides what each worker group serves. Every execution mode
-//!   is a [`ShardedDataPlane`]: [`ShardedHandle`]/[`ShardedClassifier`]
-//!   steer packets to per-shard rule subsets (hash/range on a steering
-//!   field, wildcard-heavy rules in a broadcast shard), [`Replicated`] is N
-//!   whole-set shards dealt batches round-robin (the §5.1 baseline mode),
-//!   and [`SplitPlan`] is NuevoMatch's iSet/remainder split (the paper's
-//!   two-worker mode) expressed as two mirrored stages.
+//! * **A plan** decides what each worker group serves. A plan is a
+//!   [`ServePlane`] — the same plane/pin pair the serve front-end flushes
+//!   into: [`ShardedHandle`]/[`ShardedClassifier`] steer packets to
+//!   per-shard rule subsets (hash/range on a steering field, wildcard-heavy
+//!   rules in a broadcast shard) and [`SplitPlan`] is NuevoMatch's
+//!   iSet/remainder split (the paper's two-worker mode) expressed as two
+//!   mirrored stages. [`Runtime::run_replicated`] runs the §5.1 baseline
+//!   mode — N whole-set shards of one borrowed engine, dealt batches
+//!   round-robin — through the same dispatcher.
 //! * **A dispatcher** (the calling thread) pins one coherent generation per
 //!   batch, steers the batch, keeps [`RuntimeConfig::pipeline_depth`]
 //!   batches in flight — tracked in a small in-flight ring, not a
@@ -28,18 +30,12 @@
 //! through the result channel, and surfaces as an `Err` from
 //! [`Runtime::run`] instead of wedging the dispatcher on a dead channel.
 //!
-//! **Single-core fallback.** This repository's CI box has one physical
-//! core: [`Topology::assign`] returns no pin assignments there, so every
-//! worker stays unpinned and the measured numbers time-share exactly like
-//! the legacy harness — the structure is identical to the paper's and
-//! scales on real multi-socket hardware (see EXPERIMENTS.md).
-//!
 //! [`run_sequential`]: crate::system::parallel::run_sequential
 
 pub mod sharded;
 pub mod topology;
 
-pub use sharded::{EpochPin, ShardEpoch, ShardedClassifier, ShardedHandle, StaticPin};
+pub use sharded::{ShardEpoch, ShardedClassifier, ShardedHandle};
 pub use topology::{pin_current_thread, NumaNode, Topology};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,6 +53,7 @@ use nm_common::Error;
 
 use super::flow_cache::{CacheStats, FlowCache};
 use super::handle::{ClassifierHandle, NmSnapshot};
+use super::serve::plane::{PinnedPlane, ServePlane};
 
 /// Default classification batch (the paper's §5.1 batch of 128).
 pub const DEFAULT_BATCH: usize = 128;
@@ -71,7 +68,7 @@ pub enum PinPolicy {
     Never,
     /// Pin each shard's workers to CPUs of one NUMA node (shards spread
     /// across nodes round-robin). Degrades to unpinned when the topology
-    /// reports a single CPU — the single-core-CI fallback.
+    /// reports a single CPU — the single-CPU fallback.
     Numa,
 }
 
@@ -139,7 +136,7 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    fn empty(shards: usize, workers: usize) -> Self {
+    pub(super) fn empty(shards: usize, workers: usize) -> Self {
         Self {
             seconds: 0.0,
             pps: 0.0,
@@ -165,130 +162,21 @@ pub(crate) fn fold_checksum(checksum: &mut u64, m: Option<MatchResult>) {
     *checksum = checksum.wrapping_mul(0x100_0000_01b3).wrapping_add(v);
 }
 
-/// A coherent per-batch pin of a sharded data plane: every shard the pin
-/// exposes serves the same logical generation for as long as the pin is
-/// held. Cloned into worker jobs; cloning must be cheap (a reference or an
-/// `Arc` bump).
-pub trait ShardPin: Clone + Send + Sync {
-    /// The pinned logical generation.
-    fn generation(&self) -> Generation;
-
-    /// Classifies a gathered sub-batch as shard `shard` sees it — including
-    /// any broadcast-shard merge, so the dispatcher's priority merge over
-    /// shards yields final verdicts.
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    );
-}
-
-/// An execution plan the runtime can drive: how many worker groups exist,
-/// how packets map onto them, and how to pin a coherent generation.
-pub trait ShardedDataPlane: Sync {
-    /// The per-batch pin type.
-    type Pin<'p>: ShardPin
-    where
-        Self: 'p;
-
-    /// Number of home shards (worker groups).
-    fn shards(&self) -> usize;
-
-    /// `true` for stage-parallel plans: every batch is sent whole to every
-    /// shard and the per-shard verdicts merge by priority (the two-worker
-    /// iSet/remainder split). `false` for data-parallel plans, where each
-    /// packet is steered to exactly one shard.
-    fn mirror(&self) -> bool {
-        false
-    }
-
-    /// Steers one packet (`batch` is the batch index — round-robin plans
-    /// deal whole batches, content-steered plans ignore it). Unused by
-    /// mirrored plans.
-    fn steer(&self, _key: &[u64], _batch: usize) -> usize {
-        0
-    }
-
-    /// Pins the current generation across all shards.
-    fn pin(&self) -> Self::Pin<'_>;
-}
-
 // ---------------------------------------------------------------------------
 // Legacy modes as plans
 // ---------------------------------------------------------------------------
-
-/// The §5.1 replicated baseline as a plan: `workers` whole-set shards
-/// sharing one engine (no rule duplication), batches dealt round-robin.
-pub struct Replicated<'c> {
-    engine: &'c dyn Classifier,
-    workers: usize,
-}
-
-impl<'c> Replicated<'c> {
-    /// Wraps `engine` as `workers` round-robin shards.
-    pub fn new(engine: &'c dyn Classifier, workers: usize) -> Self {
-        Self { engine, workers: workers.max(1) }
-    }
-}
-
-/// Pin over a [`Replicated`] plan — a bare reference; the engine is shared,
-/// its generation is whatever it reports.
-pub struct RefPin<'a>(&'a dyn Classifier);
-
-impl Clone for RefPin<'_> {
-    fn clone(&self) -> Self {
-        RefPin(self.0)
-    }
-}
-
-impl ShardPin for RefPin<'_> {
-    fn generation(&self) -> Generation {
-        self.0.generation()
-    }
-
-    fn classify_shard(
-        &self,
-        _shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.0.classify_batch(keys, stride, out);
-    }
-}
-
-impl ShardedDataPlane for Replicated<'_> {
-    type Pin<'p>
-        = RefPin<'p>
-    where
-        Self: 'p;
-
-    fn shards(&self) -> usize {
-        self.workers
-    }
-
-    fn steer(&self, _key: &[u64], batch: usize) -> usize {
-        batch % self.workers
-    }
-
-    fn pin(&self) -> Self::Pin<'_> {
-        RefPin(self.engine)
-    }
-}
 
 /// NuevoMatch's two-worker split as a plan: shard 0 runs the iSet RQ-RMIs,
 /// shard 1 the remainder classifier, every batch mirrored to both and
 /// merged by priority — the paper's §4 parallelization, expressed in the
 /// same runtime as the sharded modes.
-pub struct SplitPlan<'h, R: Classifier> {
-    handle: &'h ClassifierHandle<R>,
+pub struct SplitPlan<R: Classifier> {
+    handle: ClassifierHandle<R>,
 }
 
-impl<'h, R: Classifier> SplitPlan<'h, R> {
+impl<R: Classifier> SplitPlan<R> {
     /// Plans the iSet/remainder split over a live handle.
-    pub fn new(handle: &'h ClassifierHandle<R>) -> Self {
+    pub fn new(handle: ClassifierHandle<R>) -> Self {
         Self { handle }
     }
 }
@@ -303,9 +191,13 @@ impl<R: Classifier> Clone for SplitPin<R> {
     }
 }
 
-impl<R: Classifier> ShardPin for SplitPin<R> {
+impl<R: Classifier> PinnedPlane for SplitPin<R> {
     fn generation(&self) -> Generation {
         self.0.generation()
+    }
+
+    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
+        self.0.classify_batch(keys, stride, out);
     }
 
     fn classify_shard(
@@ -322,11 +214,12 @@ impl<R: Classifier> ShardPin for SplitPin<R> {
     }
 }
 
-impl<R: Classifier> ShardedDataPlane for SplitPlan<'_, R> {
-    type Pin<'p>
-        = SplitPin<R>
-    where
-        Self: 'p;
+impl<R: Classifier + 'static> ServePlane for SplitPlan<R> {
+    type Pin = SplitPin<R>;
+
+    fn pin(&self) -> Self::Pin {
+        SplitPin(self.handle.snapshot())
+    }
 
     fn shards(&self) -> usize {
         2
@@ -334,10 +227,6 @@ impl<R: Classifier> ShardedDataPlane for SplitPlan<'_, R> {
 
     fn mirror(&self) -> bool {
         true
-    }
-
-    fn pin(&self) -> Self::Pin<'_> {
-        SplitPin(self.handle.snapshot())
     }
 }
 
@@ -349,12 +238,12 @@ impl<R: Classifier> ShardedDataPlane for SplitPlan<'_, R> {
 /// worker swaps the current pin in before each batch, and the cache's
 /// generation probe sees the pinned logical generation — so an epoch swap
 /// invalidates the cache exactly like any other update.
-struct PinView<P: ShardPin> {
+struct PinView<P: PinnedPlane> {
     shard: usize,
     pin: Mutex<Option<P>>,
 }
 
-impl<P: ShardPin> PinView<P> {
+impl<P: PinnedPlane> PinView<P> {
     fn new(shard: usize) -> Self {
         Self { shard, pin: Mutex::new(None) }
     }
@@ -364,7 +253,7 @@ impl<P: ShardPin> PinView<P> {
     }
 }
 
-impl<P: ShardPin> Classifier for PinView<P> {
+impl<P: PinnedPlane> Classifier for PinView<P> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
         let guard = self.pin.lock();
         // A pin is always set before workers run; a missing one means the
@@ -394,7 +283,7 @@ impl<P: ShardPin> Classifier for PinView<P> {
     }
 
     fn generation(&self) -> Generation {
-        self.pin.lock().as_ref().map_or(0, ShardPin::generation)
+        self.pin.lock().as_ref().map_or(0, PinnedPlane::generation)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -436,7 +325,7 @@ struct Slot {
 }
 
 /// The worker runtime: a discovered [`Topology`] plus a [`RuntimeConfig`],
-/// executing any [`ShardedDataPlane`] over a trace.
+/// executing any [`ServePlane`] over a trace.
 pub struct Runtime {
     cfg: RuntimeConfig,
     topo: Topology,
@@ -465,40 +354,65 @@ impl Runtime {
 
     /// Runs the two-worker iSet/remainder split (legacy `run_two_workers`)
     /// as a [`SplitPlan`].
-    pub fn run_split<R: Classifier>(
+    pub fn run_split<R: Classifier + 'static>(
         &self,
         handle: &ClassifierHandle<R>,
         trace: &TraceBuf,
     ) -> Result<RunStats, Error> {
-        self.run(&SplitPlan::new(handle), trace)
+        self.run(&SplitPlan::new(handle.clone()), trace)
     }
 
-    /// Runs `workers` whole-set replicas (legacy `run_replicated`) as a
-    /// [`Replicated`] plan. Unlike the legacy runner, the merge happens in
-    /// trace order, so the checksum equals the sequential reference at any
-    /// worker count.
+    /// Runs `workers` whole-set replicas of one shared engine (the §5.1
+    /// baseline mode, legacy `run_replicated`; no rule duplication), whole
+    /// batches dealt round-robin and the engine reference itself as the
+    /// pin. Unlike the legacy runner, the merge happens in trace order, so
+    /// the checksum equals the sequential reference at any worker count.
     pub fn run_replicated(
         &self,
         engine: &dyn Classifier,
         workers: usize,
         trace: &TraceBuf,
     ) -> Result<RunStats, Error> {
-        self.run(&Replicated::new(engine, workers), trace)
+        let workers = workers.max(1);
+        self.execute(workers, false, |_, batch| batch % workers, || engine, trace)
     }
 
     /// Executes `src` over the trace: steer → per-shard workers → in-order
     /// priority merge. Returns an error if any worker fails (panics are
     /// caught and reported, not deadlocked on).
-    pub fn run<S: ShardedDataPlane>(&self, src: &S, trace: &TraceBuf) -> Result<RunStats, Error> {
+    pub fn run<S: ServePlane>(&self, src: &S, trace: &TraceBuf) -> Result<RunStats, Error>
+    where
+        S::Pin: Clone + Sync,
+    {
+        self.execute(
+            src.shards(),
+            src.mirror(),
+            |key, batch| src.steer(key, batch),
+            || src.pin(),
+            trace,
+        )
+    }
+
+    /// The dispatcher behind [`Runtime::run`], with the plane's layout
+    /// spelled out so borrowed engines (whose planes cannot be `'static`)
+    /// run through it too: `shards` worker groups, each batch mirrored to
+    /// all of them or steered per packet, one `pin()` per batch.
+    fn execute<P: PinnedPlane + Clone + Sync>(
+        &self,
+        shards: usize,
+        mirror: bool,
+        steer: impl Fn(&[u64], usize) -> usize,
+        pin: impl Fn() -> P,
+        trace: &TraceBuf,
+    ) -> Result<RunStats, Error> {
         let n = trace.len();
-        let shards = src.shards().max(1);
+        let shards = shards.max(1);
         let wps = self.cfg.workers_per_shard.max(1);
         if n == 0 {
             return Ok(RunStats::empty(shards, shards * wps));
         }
         let batch = self.cfg.batch.max(1);
         let depth = self.cfg.pipeline_depth.max(1);
-        let mirror = src.mirror();
         let n_batches = n.div_ceil(batch);
         let stride = trace.stride();
         let raw = trace.raw();
@@ -511,7 +425,7 @@ impl Runtime {
         let mut job_tx = Vec::with_capacity(shards);
         let mut job_rx = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = channel::bounded::<Job<S::Pin<'_>>>(depth);
+            let (tx, rx) = channel::bounded::<Job<P>>(depth);
             job_tx.push(tx);
             job_rx.push(rx);
         }
@@ -560,7 +474,7 @@ impl Runtime {
                 while next < n_batches && next - merged < depth {
                     let lo = next * batch;
                     let hi = ((next + 1) * batch).min(n);
-                    let pin = src.pin();
+                    let pin = pin();
                     let g = pin.generation();
                     gen_lo = gen_lo.min(g);
                     gen_hi = gen_hi.max(g);
@@ -570,7 +484,7 @@ impl Runtime {
                         idx.fill(all);
                     } else {
                         for i in lo..hi {
-                            let s = src.steer(&raw[i * stride..(i + 1) * stride], next);
+                            let s = steer(&raw[i * stride..(i + 1) * stride], next);
                             idx[s].push(i as u32);
                         }
                     }
@@ -681,7 +595,7 @@ impl Runtime {
 /// One worker thread: optionally pin, then serve jobs until the dispatcher
 /// hangs up. Panics inside a job are caught and reported as an error chunk
 /// so the dispatcher can fail the run instead of blocking forever.
-fn worker_loop<P: ShardPin>(
+fn worker_loop<P: PinnedPlane + Clone + Sync>(
     shard: usize,
     cpu: Option<usize>,
     rx: channel::Receiver<Job<P>>,
@@ -860,28 +774,16 @@ mod tests {
         struct Bomb;
         #[derive(Clone)]
         struct BombPin;
-        impl ShardPin for BombPin {
+        impl PinnedPlane for BombPin {
             fn generation(&self) -> Generation {
                 0
             }
-            fn classify_shard(
-                &self,
-                _s: usize,
-                _k: &[u64],
-                _stride: usize,
-                _o: &mut [Option<MatchResult>],
-            ) {
+            fn classify_batch(&self, _k: &[u64], _stride: usize, _o: &mut [Option<MatchResult>]) {
                 panic!("boom");
             }
         }
-        impl ShardedDataPlane for Bomb {
-            type Pin<'p>
-                = BombPin
-            where
-                Self: 'p;
-            fn shards(&self) -> usize {
-                1
-            }
+        impl ServePlane for Bomb {
+            type Pin = BombPin;
             fn pin(&self) -> BombPin {
                 BombPin
             }

@@ -1,16 +1,17 @@
 //! Sharded data planes: per-shard engine replicas behind one steering stage.
 //!
-//! Two flavours share the [`ShardPlan`] model:
+//! Both flavours serve through one [`ShardEpoch`] — the steering plan plus
+//! every shard's engine, frozen together under one logical generation:
 //!
-//! * [`ShardedClassifier`] — static per-shard engines built once from the
-//!   plan's subsets. Any [`Classifier`] works (TupleMerge, CutSplit,
+//! * [`ShardedClassifier`] — one static epoch of engines built once from
+//!   the plan's subsets. Any [`Classifier`] works (TupleMerge, CutSplit,
 //!   NeuroCuts, NuevoMatch, boxed engines); this is the form `nmctl bench
 //!   --shards` and the checksum-equivalence tests use.
 //! * [`ShardedHandle`] — per-shard [`ClassifierHandle`] replicas for the
 //!   full control-plane lifecycle. `UpdateBatch` applies **fan out**: each
 //!   op routes to the shard the plan steers its rule to (moving shards when
 //!   a modify changes the steering field), and the post-apply snapshots of
-//!   every shard publish together as one [`ShardEpoch`] under one logical
+//!   every shard publish together as one epoch under one logical
 //!   generation. Readers pin the epoch with two atomic ops; a pinned epoch
 //!   is immutable, so **no batch can ever mix generations across shards** —
 //!   the coherence the runtime's checksum equivalence rests on. Retrains
@@ -19,8 +20,8 @@
 //!
 //! Both implement [`Classifier`] (steer → per-shard lookup → priority
 //! merge), so they drop into every existing harness, and both implement
-//! [`ShardedDataPlane`] so [`Runtime::run`](super::Runtime::run) can spread
-//! their shards across pinned workers.
+//! [`ServePlane`] over an `Arc<ShardEpoch>` pin, so the serve front-end and
+//! [`Runtime::run`](super::Runtime::run) drive them like any other plane.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,9 +38,9 @@ use nm_common::update::{
 };
 use nm_common::Error;
 
-use super::{ShardPin, ShardedDataPlane};
 use crate::config::NuevoMatchConfig;
 use crate::system::handle::{ClassifierHandle, NmSnapshot};
+use crate::system::serve::plane::{PinnedPlane, ServePlane};
 
 /// Scatters `sub`'s verdicts (computed for the gathered keys at `idx`) back
 /// into `out`, merging by priority.
@@ -85,52 +86,151 @@ fn merge_broadcast<B: Classifier + ?Sized>(
     }
 }
 
-/// A gathered sub-batch sweep over one home shard: `(shard, keys, out)`.
-type HomeSweep<'a> = &'a mut dyn FnMut(usize, &[u64], &mut [Option<MatchResult>]);
-/// A whole-batch broadcast merge: `(keys, out)`, verdicts folded by priority.
-type BroadcastSweep<'a> = &'a mut dyn FnMut(&[u64], &mut [Option<MatchResult>]);
+// ---------------------------------------------------------------------------
+// The epoch: one coherent generation of every shard
+// ---------------------------------------------------------------------------
 
-/// The steering stage every sharded batch path shares — steer per key,
-/// gather per home shard, sweep each sub-batch through `classify_home`,
-/// merge the broadcast engine (when present) over the whole batch, apply
-/// caller floors last. One definition, so the static and handle-backed data
-/// planes cannot drift apart.
-fn steered_batch_lookup(
-    plan: &ShardPlan,
-    keys: &[u64],
-    stride: usize,
-    floors: Option<&[Priority]>,
-    out: &mut [Option<MatchResult>],
-    classify_home: HomeSweep<'_>,
-    classify_broadcast: Option<BroadcastSweep<'_>>,
-) {
-    out.fill(None);
-    if plan.strategy() == ShardStrategy::RoundRobin {
-        // Whole-set replicas: no steering needed inside one call.
-        classify_home(0, keys, out);
-        apply_floors(floors, out);
-        return;
+/// One coherent cross-shard generation: the steering plan, every home
+/// shard's engine and the broadcast engine, pinned together under a single
+/// logical generation. Immutable once built — a reader holding an epoch can
+/// never observe two shards from different generations, whatever the
+/// control plane does meanwhile.
+///
+/// The epoch owns the whole steered lookup (steer, gather per home shard,
+/// sweep, broadcast merge, floors) through its [`Classifier`] impl, and the
+/// runtime's per-shard sweep through [`PinnedPlane::classify_shard`].
+pub struct ShardEpoch<E> {
+    plan: Arc<ShardPlan>,
+    generation: Generation,
+    home: Vec<Arc<E>>,
+    /// Engine over the broadcast subset; `None` when no rule broadcasts.
+    broadcast: Option<Arc<E>>,
+}
+
+impl<E: Classifier> ShardEpoch<E> {
+    /// The logical generation (bumps once per fan-out apply or retrain).
+    pub fn generation(&self) -> Generation {
+        self.generation
     }
-    let mut idx: Vec<Vec<u32>> = vec![Vec::new(); plan.shards()];
-    for (i, key) in keys.chunks_exact(stride).enumerate() {
-        idx[plan.steer(key, 0)].push(i as u32);
+
+    /// Number of home shards.
+    pub fn shards(&self) -> usize {
+        self.home.len()
     }
-    let mut buf = Vec::new();
-    let mut sub = Vec::new();
-    for (shard, ids) in idx.iter().enumerate() {
-        if ids.is_empty() {
-            continue;
+
+    /// The pinned home-shard engines' own generations (instrumentation:
+    /// coherence tests assert one epoch always reports the same vector).
+    pub fn home_generations(&self) -> Vec<Generation> {
+        self.home.iter().map(|e| e.generation()).collect()
+    }
+
+    /// The broadcast engine, when it holds any rule.
+    fn live_broadcast(&self) -> Option<&E> {
+        self.broadcast.as_deref().filter(|b| b.num_rules() > 0)
+    }
+
+    /// Classifies one shard's gathered sub-batch: home engine plus the
+    /// broadcast engine, merged.
+    fn classify_sub(
+        &self,
+        shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) {
+        self.home[shard].classify_batch(keys, stride, out);
+        if let Some(b) = self.live_broadcast() {
+            merge_broadcast(b, keys, stride, out);
         }
-        gather_keys(keys, stride, ids, &mut buf);
-        sub.clear();
-        sub.resize(ids.len(), None);
-        classify_home(shard, &buf, &mut sub);
-        scatter_merge(ids, &sub, out);
     }
-    if let Some(broadcast) = classify_broadcast {
-        broadcast(keys, out);
+}
+
+impl<E: Classifier> Classifier for ShardEpoch<E> {
+    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
+        // Replicated plans hold the whole set in every home shard, so any
+        // shard answers; keyed plans steer by content.
+        let mut out = [None];
+        self.classify_sub(self.plan.steer(key, 0), key, key.len(), &mut out);
+        out[0]
     }
-    apply_floors(floors, out);
+
+    /// Steer per key, gather per home shard, sweep each sub-batch through
+    /// its engine's batched pipeline, merge the broadcast engine over the
+    /// whole batch, apply caller floors last — verdict-equivalent to one
+    /// whole-set engine by the plan's construction invariant.
+    fn batch_lookup(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        floors: Option<&[Priority]>,
+        out: &mut [Option<MatchResult>],
+    ) {
+        if self.plan.strategy() == ShardStrategy::RoundRobin {
+            // Whole-set replicas: no steering needed inside one call.
+            self.home[0].batch_lookup(keys, stride, floors, out);
+            return;
+        }
+        out.fill(None);
+        let mut idx: Vec<Vec<u32>> = vec![Vec::new(); self.home.len()];
+        for (i, key) in keys.chunks_exact(stride).enumerate() {
+            idx[self.plan.steer(key, 0)].push(i as u32);
+        }
+        let mut buf = Vec::new();
+        let mut sub = Vec::new();
+        for (home, ids) in self.home.iter().zip(&idx) {
+            if ids.is_empty() {
+                continue;
+            }
+            gather_keys(keys, stride, ids, &mut buf);
+            sub.clear();
+            sub.resize(ids.len(), None);
+            home.classify_batch(&buf, stride, &mut sub);
+            scatter_merge(ids, &sub, out);
+        }
+        if let Some(b) = self.live_broadcast() {
+            merge_broadcast(b, keys, stride, out);
+        }
+        apply_floors(floors, out);
+    }
+
+    fn generation(&self) -> Generation {
+        self.generation
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.home.iter().chain(&self.broadcast).map(|e| e.memory_bytes()).sum()
+    }
+
+    fn name(&self) -> &'static str {
+        "sharded"
+    }
+
+    fn num_rules(&self) -> usize {
+        match self.plan.strategy() {
+            ShardStrategy::RoundRobin => self.home[0].num_rules(),
+            _ => self.home.iter().chain(&self.broadcast).map(|e| e.num_rules()).sum(),
+        }
+    }
+}
+
+impl<E: Classifier> PinnedPlane for Arc<ShardEpoch<E>> {
+    fn generation(&self) -> Generation {
+        self.generation
+    }
+
+    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
+        Classifier::classify_batch(&**self, keys, stride, out);
+    }
+
+    fn classify_shard(
+        &self,
+        shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) {
+        self.classify_sub(shard, keys, stride, out);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -138,19 +238,9 @@ fn steered_batch_lookup(
 // ---------------------------------------------------------------------------
 
 /// Per-shard engine replicas built once from a [`ShardPlan`] — the static
-/// (no-update) sharded data plane.
-///
-/// The steering stage lives in [`Classifier::batch_lookup`]: packets gather
-/// per home shard, each shard's engine sweeps its sub-batch through its own
-/// batched pipeline, the broadcast engine sweeps the whole batch, and
-/// verdicts merge by priority — verdict-equivalent to one whole-set engine
-/// by the plan's construction invariant.
-pub struct ShardedClassifier<C> {
-    plan: ShardPlan,
-    home: Vec<C>,
-    /// Engine over the broadcast subset; `None` when no rule broadcasts.
-    broadcast: Option<C>,
-}
+/// (no-update) sharded data plane: one immutable [`ShardEpoch`] whose
+/// generation is the sum of its engines' at assembly.
+pub struct ShardedClassifier<C>(Arc<ShardEpoch<C>>);
 
 impl<C: Classifier> ShardedClassifier<C> {
     /// Builds the plan over `set` and one engine per subset.
@@ -163,7 +253,7 @@ impl<C: Classifier> ShardedClassifier<C> {
         let (home_sets, broadcast_set) = plan.subsets(set);
         let home = home_sets.iter().map(|s| builder.build_engine(s)).collect();
         let broadcast = (!broadcast_set.is_empty()).then(|| builder.build_engine(&broadcast_set));
-        Ok(Self { plan, home, broadcast })
+        Self::from_parts(plan, home, broadcast)
     }
 
     /// Assembles a sharded classifier from pre-built engines — one per home
@@ -187,38 +277,21 @@ impl<C: Classifier> ShardedClassifier<C> {
                     .to_string(),
             });
         }
-        Ok(Self { plan, home, broadcast })
+        let home: Vec<Arc<C>> = home.into_iter().map(Arc::new).collect();
+        let broadcast = broadcast.map(Arc::new);
+        let generation = home.iter().chain(&broadcast).map(|e| e.generation()).sum();
+        Ok(Self(Arc::new(ShardEpoch { plan: Arc::new(plan), generation, home, broadcast })))
     }
 
     /// The partition this data plane steers by.
     pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Classifies one shard's gathered sub-batch: home engine plus the
-    /// broadcast engine, merged.
-    fn classify_sub(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.home[shard].classify_batch(keys, stride, out);
-        if let Some(b) = &self.broadcast {
-            merge_broadcast(b, keys, stride, out);
-        }
+        &self.0.plan
     }
 }
 
 impl<C: Classifier> Classifier for ShardedClassifier<C> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        // Replicated plans hold the whole set in every home shard, so any
-        // shard answers; keyed plans steer by content.
-        let shard = self.plan.steer(key, 0);
-        let mut out = [None];
-        self.classify_sub(shard, key, key.len(), &mut out);
-        out[0]
+        self.0.classify(key)
     }
 
     fn batch_lookup(
@@ -228,140 +301,45 @@ impl<C: Classifier> Classifier for ShardedClassifier<C> {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        let mut broadcast = self.broadcast.as_ref().map(|b| {
-            move |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(b, keys, stride, out)
-            }
-        });
-        steered_batch_lookup(
-            &self.plan,
-            keys,
-            stride,
-            floors,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                self.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
+        self.0.batch_lookup(keys, stride, floors, out);
+    }
+
+    fn generation(&self) -> Generation {
+        self.0.generation
     }
 
     fn memory_bytes(&self) -> usize {
-        self.home.iter().map(Classifier::memory_bytes).sum::<usize>()
-            + self.broadcast.as_ref().map_or(0, Classifier::memory_bytes)
+        self.0.memory_bytes()
     }
 
     fn name(&self) -> &'static str {
-        "sharded"
+        self.0.name()
     }
 
     fn num_rules(&self) -> usize {
-        match self.plan.strategy() {
-            ShardStrategy::RoundRobin => self.home[0].num_rules(),
-            _ => {
-                self.home.iter().map(Classifier::num_rules).sum::<usize>()
-                    + self.broadcast.as_ref().map_or(0, Classifier::num_rules)
-            }
-        }
-    }
-
-    fn generation(&self) -> Generation {
-        // Monotone sum over the replicas, like NuevoMatch over its parts.
-        self.home.iter().map(Classifier::generation).sum::<Generation>()
-            + self.broadcast.as_ref().map_or(0, Classifier::generation)
+        self.0.num_rules()
     }
 }
 
-/// Borrowing pin over a [`ShardedClassifier`] — the engines are immutable,
-/// so the "pin" is just a reference.
-pub struct StaticPin<'a, C>(&'a ShardedClassifier<C>);
+impl<C: Classifier + 'static> ServePlane for ShardedClassifier<C> {
+    type Pin = Arc<ShardEpoch<C>>;
 
-impl<C> Clone for StaticPin<'_, C> {
-    fn clone(&self) -> Self {
-        StaticPin(self.0)
+    fn pin(&self) -> Self::Pin {
+        self.0.clone()
     }
-}
-
-impl<C: Classifier> ShardPin for StaticPin<'_, C> {
-    fn generation(&self) -> Generation {
-        Classifier::generation(self.0)
-    }
-
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.0.classify_sub(shard, keys, stride, out);
-    }
-}
-
-impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
-    type Pin<'p>
-        = StaticPin<'p, C>
-    where
-        Self: 'p;
 
     fn shards(&self) -> usize {
-        self.plan.shards()
+        self.0.plan.shards()
     }
 
     fn steer(&self, key: &[u64], batch: usize) -> usize {
-        self.plan.steer(key, batch)
-    }
-
-    fn pin(&self) -> Self::Pin<'_> {
-        StaticPin(self)
+        self.0.plan.steer(key, batch)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Handle-backed shards (live control plane)
 // ---------------------------------------------------------------------------
-
-/// One coherent cross-shard publication: every shard's snapshot pinned
-/// together under a single logical generation. Immutable once published —
-/// a reader holding an epoch can never observe two shards from different
-/// generations, whatever the control plane does meanwhile.
-pub struct ShardEpoch<R: Classifier> {
-    generation: Generation,
-    home: Vec<Arc<NmSnapshot<R>>>,
-    broadcast: Arc<NmSnapshot<R>>,
-}
-
-impl<R: Classifier> ShardEpoch<R> {
-    /// The logical generation (bumps once per fan-out apply or retrain).
-    pub fn generation(&self) -> Generation {
-        self.generation
-    }
-
-    /// Number of home shards.
-    pub fn shards(&self) -> usize {
-        self.home.len()
-    }
-
-    /// The pinned home-shard snapshots' own generations (instrumentation:
-    /// coherence tests assert one epoch always reports the same vector).
-    pub fn home_generations(&self) -> Vec<Generation> {
-        self.home.iter().map(|s| s.generation()).collect()
-    }
-
-    /// Classifies one shard's gathered sub-batch against this epoch.
-    fn classify_sub(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.home[shard].classify_batch(keys, stride, out);
-        if self.broadcast.num_rules() > 0 {
-            merge_broadcast(&*self.broadcast, keys, stride, out);
-        }
-    }
-}
 
 struct ShardedCtl {
     /// id → slot (home shard index, or `home.len()` for broadcast). The
@@ -371,11 +349,28 @@ struct ShardedCtl {
 }
 
 struct SharedSharded<R: Classifier> {
-    plan: ShardPlan,
+    plan: Arc<ShardPlan>,
     home: Vec<ClassifierHandle<R>>,
     broadcast: ClassifierHandle<R>,
-    epoch: ArcSwap<ShardEpoch<R>>,
+    epoch: ArcSwap<ShardEpoch<NmSnapshot<R>>>,
     ctl: Mutex<ShardedCtl>,
+}
+
+/// Pins every shard handle's current snapshot as one epoch stamped
+/// `generation`. The broadcast snapshot is always kept (possibly empty) so
+/// later updates can route wildcard rules to it.
+fn snapshot_epoch<R: Classifier>(
+    plan: &Arc<ShardPlan>,
+    home: &[ClassifierHandle<R>],
+    broadcast: &ClassifierHandle<R>,
+    generation: Generation,
+) -> ShardEpoch<NmSnapshot<R>> {
+    ShardEpoch {
+        plan: plan.clone(),
+        generation,
+        home: home.iter().map(ClassifierHandle::snapshot).collect(),
+        broadcast: Some(broadcast.snapshot()),
+    }
 }
 
 /// Per-shard [`ClassifierHandle`] replicas under one logical generation —
@@ -409,7 +404,7 @@ impl<R: Classifier> ShardedHandle<R> {
         B: EngineBuilder<Engine = R> + 'static,
         R: 'static,
     {
-        let plan = ShardPlan::build(set, plan_cfg)?;
+        let plan = Arc::new(ShardPlan::build(set, plan_cfg)?);
         let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
         let (home_sets, broadcast_set) = plan.subsets(set);
         let home: Vec<ClassifierHandle<R>> = home_sets
@@ -430,11 +425,7 @@ impl<R: Classifier> ShardedHandle<R> {
                 routes.insert(rule.id, slot);
             }
         }
-        let epoch = ShardEpoch {
-            generation: 1,
-            home: home.iter().map(ClassifierHandle::snapshot).collect(),
-            broadcast: broadcast.snapshot(),
-        };
+        let epoch = snapshot_epoch(&plan, &home, &broadcast, 1);
         Ok(Self {
             shared: Arc::new(SharedSharded {
                 plan,
@@ -452,7 +443,7 @@ impl<R: Classifier> ShardedHandle<R> {
     }
 
     /// Pins the current epoch (two atomic ops, never blocks).
-    pub fn epoch(&self) -> Arc<ShardEpoch<R>> {
+    pub fn epoch(&self) -> Arc<ShardEpoch<NmSnapshot<R>>> {
         self.shared.epoch.load_full()
     }
 
@@ -464,12 +455,9 @@ impl<R: Classifier> ShardedHandle<R> {
     /// Publishes the current per-shard snapshots as the next logical
     /// generation. Callers must hold the ctl lock (single-writer).
     fn publish_epoch(&self) -> Generation {
-        let generation = self.shared.epoch.load().generation() + 1;
-        self.shared.epoch.store(Arc::new(ShardEpoch {
-            generation,
-            home: self.shared.home.iter().map(ClassifierHandle::snapshot).collect(),
-            broadcast: self.shared.broadcast.snapshot(),
-        }));
+        let sh = &*self.shared;
+        let generation = self.generation() + 1;
+        sh.epoch.store(Arc::new(snapshot_epoch(&sh.plan, &sh.home, &sh.broadcast, generation)));
         generation
     }
 
@@ -480,7 +468,7 @@ impl<R: Classifier> ShardedHandle<R> {
         let epoch = self.epoch();
         let mut rules = 0usize;
         let mut weighted = 0.0f64;
-        for snap in epoch.home.iter().chain(std::iter::once(&epoch.broadcast)) {
+        for snap in epoch.home.iter().chain(&epoch.broadcast) {
             let n = snap.num_rules();
             rules += n;
             weighted += snap.engine().remainder_fraction() * n as f64;
@@ -498,36 +486,6 @@ impl<R: Classifier> ShardedHandle<R> {
         } else {
             &self.shared.home[slot]
         }
-    }
-
-    /// Classifies a whole batch against a caller-pinned [`ShardEpoch`] —
-    /// the serve path's "one generation per flushed batch" contract. Same
-    /// steering and broadcast merge as the `Classifier::batch_lookup` impl,
-    /// but the epoch is chosen by the caller instead of re-pinned per call,
-    /// so a batch assembled before a publish still classifies coherently.
-    pub fn classify_batch_at(
-        &self,
-        epoch: &ShardEpoch<R>,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        let mut broadcast = (epoch.broadcast.num_rules() > 0).then_some(
-            |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(&*epoch.broadcast, keys, stride, out)
-            },
-        );
-        steered_batch_lookup(
-            &self.shared.plan,
-            keys,
-            stride,
-            None,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                epoch.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
     }
 }
 
@@ -649,10 +607,7 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
 
 impl<R: Classifier> Classifier for ShardedHandle<R> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let epoch = self.epoch();
-        let mut out = [None];
-        epoch.classify_sub(self.shared.plan.steer(key, 0), key, key.len(), &mut out);
-        out[0]
+        self.epoch().classify(key)
     }
 
     /// One epoch pin per batch: every packet classifies against the same
@@ -664,28 +619,11 @@ impl<R: Classifier> Classifier for ShardedHandle<R> {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        let epoch = self.epoch();
-        let mut broadcast = (epoch.broadcast.num_rules() > 0).then_some(
-            |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(&*epoch.broadcast, keys, stride, out)
-            },
-        );
-        steered_batch_lookup(
-            &self.shared.plan,
-            keys,
-            stride,
-            floors,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                epoch.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
+        self.epoch().batch_lookup(keys, stride, floors, out);
     }
 
     fn memory_bytes(&self) -> usize {
-        let epoch = self.epoch();
-        epoch.home.iter().map(|s| s.memory_bytes()).sum::<usize>() + epoch.broadcast.memory_bytes()
+        self.epoch().memory_bytes()
     }
 
     fn name(&self) -> &'static str {
@@ -693,14 +631,7 @@ impl<R: Classifier> Classifier for ShardedHandle<R> {
     }
 
     fn num_rules(&self) -> usize {
-        let epoch = self.epoch();
-        match self.shared.plan.strategy() {
-            ShardStrategy::RoundRobin => epoch.home[0].num_rules(),
-            _ => {
-                epoch.home.iter().map(|s| s.num_rules()).sum::<usize>()
-                    + epoch.broadcast.num_rules()
-            }
-        }
+        self.epoch().num_rules()
     }
 
     fn generation(&self) -> Generation {
@@ -708,37 +639,12 @@ impl<R: Classifier> Classifier for ShardedHandle<R> {
     }
 }
 
-/// Owning pin over a [`ShardedHandle`]: one epoch Arc, cheap to clone into
-/// worker jobs, immutable for as long as any worker holds it.
-pub struct EpochPin<R: Classifier>(Arc<ShardEpoch<R>>);
+impl<R: Classifier + 'static> ServePlane for ShardedHandle<R> {
+    type Pin = Arc<ShardEpoch<NmSnapshot<R>>>;
 
-impl<R: Classifier> Clone for EpochPin<R> {
-    fn clone(&self) -> Self {
-        EpochPin(self.0.clone())
+    fn pin(&self) -> Self::Pin {
+        self.epoch()
     }
-}
-
-impl<R: Classifier> ShardPin for EpochPin<R> {
-    fn generation(&self) -> Generation {
-        self.0.generation()
-    }
-
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.0.classify_sub(shard, keys, stride, out);
-    }
-}
-
-impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
-    type Pin<'p>
-        = EpochPin<R>
-    where
-        Self: 'p;
 
     fn shards(&self) -> usize {
         self.shared.plan.shards()
@@ -746,10 +652,6 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
 
     fn steer(&self, key: &[u64], batch: usize) -> usize {
         self.shared.plan.steer(key, batch)
-    }
-
-    fn pin(&self) -> Self::Pin<'_> {
-        EpochPin(self.epoch())
     }
 }
 
@@ -783,21 +685,39 @@ mod tests {
     fn static_sharded_equals_whole_set_engine() {
         let set = port_set(300);
         let whole = LinearSearch::build(&set);
+        let keys: Vec<u64> = (0..256u64).flat_map(|i| [1, 2, 3, (i * 157) % 40_000, 6]).collect();
+        // Every fourth key carries no floor; the rest prune at, below or
+        // above the priority that key matches.
+        let floors: Vec<Priority> =
+            (0..256u32).map(|i| if i % 4 == 0 { Priority::MAX } else { (i * 41) % 320 }).collect();
         for shards in [1usize, 2, 5] {
             let sc =
                 ShardedClassifier::build(&set, &plan_cfg(shards), LinearSearch::build).unwrap();
+            let sh = ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(shards), LinearSearch::build)
+                .unwrap();
             assert_eq!(sc.num_rules(), 300);
             for port in (0u64..40_000).step_by(37) {
                 let key = [1, 2, 3, port, 6];
                 assert_eq!(sc.classify(&key), whole.classify(&key), "shards {shards} port {port}");
             }
-            // Batched path agrees too, with and without floors.
-            let keys: Vec<u64> =
-                (0..256u64).flat_map(|i| [1, 2, 3, (i * 157) % 40_000, 6]).collect();
-            let mut out = vec![None; 256];
-            sc.classify_batch(&keys, 5, &mut out);
-            for i in 0..256 {
-                assert_eq!(out[i], whole.classify(&keys[i * 5..(i + 1) * 5]), "packet {i}");
+            // Batched path agrees too, with and without floors, on both
+            // sharded planes.
+            let planes: [(&str, &dyn Classifier); 2] = [("static", &sc), ("handle", &sh)];
+            for (name, plane) in planes {
+                let mut out = vec![None; 256];
+                plane.classify_batch(&keys, 5, &mut out);
+                for i in 0..256 {
+                    let want = whole.classify(&keys[i * 5..(i + 1) * 5]);
+                    assert_eq!(out[i], want, "{name} shards {shards} packet {i}");
+                }
+                plane.classify_batch_with_floors(&keys, 5, &floors, &mut out);
+                for i in 0..256 {
+                    let f = floors[i];
+                    let want = whole
+                        .classify(&keys[i * 5..(i + 1) * 5])
+                        .filter(|m| f == Priority::MAX || m.priority < f);
+                    assert_eq!(out[i], want, "{name} shards {shards} packet {i} floor {f}");
+                }
             }
         }
     }

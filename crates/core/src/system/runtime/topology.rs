@@ -91,7 +91,7 @@ impl Topology {
     /// Returns one row per shard. On a machine with a single CPU the grid
     /// is empty — pinning everything onto one core would only serialise
     /// the pipeline behind the dispatcher, so the runtime degrades to
-    /// unpinned scheduling instead (the single-core-CI fallback).
+    /// unpinned scheduling instead (the single-CPU fallback).
     pub fn assign(&self, shards: usize, workers_per_shard: usize) -> Vec<Vec<usize>> {
         if self.num_cpus() <= 1 {
             return Vec::new();

@@ -1,6 +1,6 @@
 //! `system::serve` — the wire-to-verdict classification service.
 //!
-//! Turns a live data plane (a [`ClassifierHandle`] or the PR 5 sharded
+//! Turns a live data plane (a [`ClassifierHandle`] or the sharded
 //! [`ShardedHandle`]) into a network service: length-prefixed key frames
 //! arrive over UDP and/or TCP (`nm_common::frame`), per-core reader
 //! threads coalesce them with **deadline micro-batching** (flush at
@@ -38,7 +38,7 @@ pub mod validator;
 
 pub use assembler::{Assembler, ReplyTo};
 pub use client::ServeClient;
-pub use plane::{PinnedPlane, ServePlane, ShardedPin};
+pub use plane::{PinnedPlane, ServePlane};
 pub use stats::{FlushCause, ReaderKind, ServeStats};
 pub use validator::{OracleTable, Validator};
 

@@ -1,10 +1,18 @@
-//! The data-plane abstraction the serve front-end batches into.
+//! The plane/pin pair every batched data path runs on.
 //!
-//! A flushed batch must classify against **one** pinned generation — that
-//! is the coherence contract the response `generation` field advertises
-//! and the oracle validator checks. [`ServePlane::pin`] captures whatever
-//! "one generation" means for the engine: a snapshot `Arc` for a plain
-//! [`ClassifierHandle`], a [`ShardEpoch`] for the PR 5 sharded handle.
+//! A batch must classify against **one** pinned generation — that is the
+//! coherence contract the response `generation` field advertises, the
+//! oracle validator checks, and the worker runtime's checksum equivalence
+//! rests on. A pin is whatever "one generation" means for the engine: a
+//! snapshot `Arc` for a plain [`ClassifierHandle`], a [`ShardEpoch`] for
+//! the sharded planes, a bare reference for an immutable engine (the
+//! runtime's replicated mode). The serve front-end classifies whole flushed batches; the
+//! [`Runtime`] additionally reads the plane's shard layout
+//! ([`ServePlane::shards`], [`ServePlane::mirror`], [`ServePlane::steer`])
+//! to spread each batch over worker groups.
+//!
+//! [`ShardEpoch`]: crate::system::runtime::ShardEpoch
+//! [`Runtime`]: crate::system::runtime::Runtime
 
 use std::sync::Arc;
 
@@ -12,15 +20,36 @@ use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::update::Generation;
 
 use crate::system::handle::{ClassifierHandle, NmSnapshot};
-use crate::system::runtime::sharded::{ShardEpoch, ShardedHandle};
 
-/// A batched data plane the serve front-end can flush into.
+/// A batched data plane: pins generations and describes how the runtime
+/// may split a batch across worker groups. `'static` because the serve
+/// front-end moves the plane into its reader threads.
 pub trait ServePlane: Send + Sync + 'static {
     /// An owning, immutable view of one published generation.
     type Pin: PinnedPlane;
 
     /// Pins the currently published generation (never blocks).
     fn pin(&self) -> Self::Pin;
+
+    /// Number of home shards (worker groups).
+    fn shards(&self) -> usize {
+        1
+    }
+
+    /// `true` for stage-parallel plans: every batch is sent whole to every
+    /// shard and the per-shard verdicts merge by priority (the two-worker
+    /// iSet/remainder split). `false` for data-parallel plans, where each
+    /// packet is steered to exactly one shard.
+    fn mirror(&self) -> bool {
+        false
+    }
+
+    /// Steers one packet (`batch` is the batch index — round-robin plans
+    /// deal whole batches, content-steered plans ignore it). Unused by
+    /// mirrored plans.
+    fn steer(&self, _key: &[u64], _batch: usize) -> usize {
+        0
+    }
 }
 
 /// One pinned generation of a [`ServePlane`].
@@ -30,12 +59,23 @@ pub trait PinnedPlane: Send {
 
     /// Classifies `keys` (flat, `stride` words per key) into `out`.
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]);
+
+    /// Classifies a gathered sub-batch as shard `shard` sees it — including
+    /// any broadcast-shard merge, so the runtime's priority merge over
+    /// shards yields final verdicts. Single-shard planes classify the whole
+    /// batch.
+    fn classify_shard(
+        &self,
+        _shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) {
+        self.classify_batch(keys, stride, out);
+    }
 }
 
-impl<R> ServePlane for ClassifierHandle<R>
-where
-    R: Classifier + Send + Sync + 'static,
-{
+impl<R: Classifier + 'static> ServePlane for ClassifierHandle<R> {
     type Pin = Arc<NmSnapshot<R>>;
 
     fn pin(&self) -> Self::Pin {
@@ -43,10 +83,7 @@ where
     }
 }
 
-impl<R> PinnedPlane for Arc<NmSnapshot<R>>
-where
-    R: Classifier + Send + Sync,
-{
+impl<R: Classifier> PinnedPlane for Arc<NmSnapshot<R>> {
     fn generation(&self) -> Generation {
         NmSnapshot::generation(self)
     }
@@ -56,33 +93,14 @@ where
     }
 }
 
-/// Pin over a [`ShardedHandle`]: the epoch fixes every shard's snapshot,
-/// the handle clone carries the (immutable) steering plan.
-pub struct ShardedPin<R: Classifier> {
-    handle: ShardedHandle<R>,
-    epoch: Arc<ShardEpoch<R>>,
-}
-
-impl<R> PinnedPlane for ShardedPin<R>
-where
-    R: Classifier + Send + Sync + 'static,
-{
+/// An immutable engine pins as itself; its generation is whatever it
+/// reports.
+impl PinnedPlane for &dyn Classifier {
     fn generation(&self) -> Generation {
-        self.epoch.generation()
+        Classifier::generation(*self)
     }
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
-        self.handle.classify_batch_at(&self.epoch, keys, stride, out);
-    }
-}
-
-impl<R> ServePlane for ShardedHandle<R>
-where
-    R: Classifier + Send + Sync + 'static,
-{
-    type Pin = ShardedPin<R>;
-
-    fn pin(&self) -> Self::Pin {
-        ShardedPin { handle: self.clone(), epoch: self.epoch() }
+        Classifier::classify_batch(*self, keys, stride, out);
     }
 }
