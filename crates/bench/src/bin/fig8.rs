@@ -10,6 +10,8 @@
 //! between them; batches of 128. Both modes run through the worker
 //! runtime.
 
+use std::sync::Arc;
+
 use nm_analysis::{geomean, Table};
 use nm_bench::{nc_config, nm_cs, nm_nc, nm_tm, scale, suite};
 use nm_cutsplit::CutSplit;
@@ -17,7 +19,7 @@ use nm_neurocuts::NeuroCuts;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::BATCH;
-use nuevomatch::{ClassifierHandle, Runtime, RuntimeConfig};
+use nuevomatch::{NmSnapshot, Runtime, RuntimeConfig};
 
 fn main() {
     let rt = Runtime::new(RuntimeConfig { batch: BATCH, ..Default::default() });
@@ -50,7 +52,7 @@ fn main() {
                 let nm = nm_cs(&set);
                 let base = rt.run_replicated(&cs, 2, &trace).expect("replicated runtime");
                 let ours =
-                    rt.run_split(&ClassifierHandle::read_only(nm), &trace).expect("split runtime");
+                    rt.run_split(&Arc::new(NmSnapshot::new(nm, 1)), &trace).expect("split runtime");
                 lat_row.push(base.mean_batch_latency_ns / ours.mean_batch_latency_ns);
                 thr_row.push(ours.pps / base.pps);
             }
@@ -60,7 +62,7 @@ fn main() {
                 let nm = nm_nc(&set, !s.full);
                 let base = rt.run_replicated(&nc, 2, &trace).expect("replicated runtime");
                 let ours =
-                    rt.run_split(&ClassifierHandle::read_only(nm), &trace).expect("split runtime");
+                    rt.run_split(&Arc::new(NmSnapshot::new(nm, 1)), &trace).expect("split runtime");
                 lat_row.push(base.mean_batch_latency_ns / ours.mean_batch_latency_ns);
                 thr_row.push(ours.pps / base.pps);
             }
@@ -70,7 +72,7 @@ fn main() {
                 let nm = nm_tm(&set);
                 let base = rt.run_replicated(&tm, 2, &trace).expect("replicated runtime");
                 let ours =
-                    rt.run_split(&ClassifierHandle::read_only(nm), &trace).expect("split runtime");
+                    rt.run_split(&Arc::new(NmSnapshot::new(nm, 1)), &trace).expect("split runtime");
                 lat_row.push(base.mean_batch_latency_ns / ours.mean_batch_latency_ns);
                 thr_row.push(ours.pps / base.pps);
             }

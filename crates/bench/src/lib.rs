@@ -50,6 +50,13 @@
 
 #![warn(missing_docs)]
 
+pub mod update_curve;
+
+pub use update_curve::{
+    concentrated_drift, measure_retrain_latencies, measure_update_curve, RetrainLatencies,
+    UpdateBenchConfig, UpdateCurve, UpdateCurvePoint, UpdatePacer,
+};
+
 use nm_common::{Classifier, RuleSet, ShardPlanConfig, ShardStrategy, TraceBuf};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
@@ -138,8 +145,8 @@ pub fn nm_tm_handle(set: &RuleSet) -> ClassifierHandle<TupleMerge> {
 
 /// The [`nm_tm`] configuration sharded `shards` ways (range steering on an
 /// auto-picked field, wildcard-heavy rules in the broadcast shard) behind
-/// per-shard handle replicas — what `--bin shard` sweeps and the CI
-/// sharded-runtime smoke drives.
+/// one live [`ShardedHandle`] publishing epochs of per-shard engines —
+/// what `--bin shard` sweeps and the CI sharded-runtime smoke drives.
 pub fn nm_tm_sharded(set: &RuleSet, shards: usize) -> ShardedHandle<TupleMerge> {
     let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
     ShardedHandle::new(set, &nm_tm_config(), &plan, TupleMerge::build).expect("sharded nm/tm build")

@@ -2,6 +2,7 @@
 
 use crate::args::{Args, ParsedCommand};
 use nm_analysis::{centrality_1d, diversity, Table};
+use nm_bench::{measure_update_curve, UpdateBenchConfig, UpdatePacer};
 use nm_classbench::{generate, parse_classbench, AppKind};
 use nm_common::memsize::human_bytes;
 use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, Rule, RuleSet};
@@ -13,10 +14,7 @@ use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::system::parallel::{run_batched, run_sequential};
 use nuevomatch::system::runtime::{PinPolicy, Runtime, RuntimeConfig, ShardedClassifier};
-use nuevomatch::{
-    measure_update_curve, ClassifierHandle, NuevoMatchConfig, ShardedHandle, UpdateBenchConfig,
-    UpdatePacer,
-};
+use nuevomatch::{ClassifierHandle, Handle, NuevoMatchConfig, Published, ShardedHandle};
 use nuevomatch::{NuevoMatch, Topology};
 use nuevomatch::{OracleTable, ServeClient, ServeConfig, ServePlane, Server, Transport};
 
@@ -36,7 +34,7 @@ USAGE:
                  [--listen IP:PORT] [--transport udp|tcp|both] [--max-batch N]
                  [--deadline-us D] [--validate-every N]            # micro-batching + oracle
                  [--udp-readers N]                                 # SO_REUSEPORT reader fleet
-                 [--shards S] [--pin true|false]                   # sharded handle replicas
+                 [--shards S] [--pin true|false]                   # sharded live handle
   nmctl update-bench <rules.cb> [--seconds S] [--update-rate U] [--retrain-every R]
                  [--batch B] [--json true] [--bench-json PATH]     # measured Figure 7 curve
                  # --bench-json also measures partial vs full retrain latency and
@@ -51,8 +49,9 @@ sharding: --shards S > 1 partitions the rule-set (range steering on an
         replica per shard; --workers W threads per shard; --pin pins each
         shard's workers to one NUMA node's CPUs (no-op on 1-CPU machines —
         the runtime degrades to unpinned there). bench runs static shards;
-        serve fans its update stream across per-shard handle replicas under
-        one logical generation.
+        serve runs one sharded handle whose updates route to the shards
+        they touch and whose retrains republish every shard, each as one
+        epoch under one logical generation.
 serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         length-prefixed key frames in, (rule, priority, generation) verdicts
         out. Requests micro-batch per reader — flush at --max-batch or after
@@ -368,29 +367,6 @@ fn drift_batch(set: &RuleSet, rng: &mut nm_common::SplitMix64, ops: usize) -> Up
     batch
 }
 
-/// The two control planes `nmctl serve` can front: one whole-set handle, or
-/// per-shard handle replicas kept in sync by update fan-out.
-enum ServeHandle {
-    Plain(ClassifierHandle<TupleMerge>),
-    Sharded(ShardedHandle<TupleMerge>),
-}
-
-impl ServeHandle {
-    fn generation(&self) -> u64 {
-        match self {
-            ServeHandle::Plain(h) => h.generation(),
-            ServeHandle::Sharded(h) => h.generation(),
-        }
-    }
-
-    fn remainder_fraction(&self) -> f64 {
-        match self {
-            ServeHandle::Plain(h) => h.snapshot().engine().remainder_fraction(),
-            ServeHandle::Sharded(h) => h.remainder_fraction(),
-        }
-    }
-}
-
 /// Folds an update batch into the oracle's rule truth (upsert on id).
 fn apply_truth(truth: &mut std::collections::HashMap<u32, Rule>, batch: &UpdateBatch) {
     for op in batch.ops() {
@@ -444,6 +420,8 @@ impl OracleTruth {
 /// What one wire-serving run produced, for the report.
 struct WireOutcome {
     stats: nuevomatch::ServeStats,
+    /// Wall time from server start to shutdown.
+    elapsed: f64,
     driver_served: u64,
     driver_timeouts: u64,
     updates_applied: u64,
@@ -503,31 +481,42 @@ fn drive_clients(
     (served, timeouts)
 }
 
-/// Starts a [`Server`] over `plane`, drives it with `readers` loopback
-/// client threads replaying `trace`, and runs `updater` (the update /
-/// retrain / oracle-publishing loop, which also decides the duration) on
-/// the calling thread. Returns once everything drained.
-fn serve_wire<P, U>(
-    plane: P,
+/// The update stream `nmctl serve` paces into its handle while serving.
+struct Churn<'a> {
+    set: &'a RuleSet,
+    seconds: f64,
+    update_rate: f64,
+    retrain_every: f64,
+    seed: u64,
+}
+
+/// Starts a [`Server`] over `handle`, drives it with `readers` loopback
+/// client threads replaying `trace`, and runs the updater loop on the
+/// calling thread for `churn.seconds`: paced drift batches, background
+/// retrains (the same [`UpdatePacer`] `measure_update_curve` uses), and the
+/// oracle's truth republished whenever the generation moves. One loop for
+/// the whole-set and the sharded handle. Returns once everything drained.
+fn serve_wire<P: Published>(
+    handle: &Handle<P>,
     scfg: &ServeConfig,
     trace: &nm_common::TraceBuf,
     readers: usize,
     window: usize,
-    updater: U,
+    churn: &Churn,
 ) -> Result<WireOutcome, String>
 where
-    P: ServePlane,
-    U: FnOnce(&OracleTable) -> (u64, u64),
+    Handle<P>: ServePlane,
 {
-    let server =
-        Server::start(plane, scfg).map_err(|e| format!("serve: binding {}: {e}", scfg.listen))?;
+    let server = Server::start(handle.clone(), scfg)
+        .map_err(|e| format!("serve: binding {}: {e}", scfg.listen))?;
     let (udp_addr, tcp_addr) = (server.udp_addr(), server.tcp_addr());
     let oracle = server.oracle();
     let stop = std::sync::atomic::AtomicBool::new(false);
     let mut driver_served = 0u64;
     let mut driver_timeouts = 0u64;
     let mut tcp_drivers = 0usize;
-    let mut counts = (0u64, 0u64);
+    let mut updates_applied = 0u64;
+    let start = std::time::Instant::now();
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for r in 0..readers.max(1) {
@@ -541,7 +530,29 @@ where
             let stop = &stop;
             joins.push(scope.spawn(move || drive_clients(addr, use_udp, trace, window, stop)));
         }
-        counts = updater(&oracle);
+        // The updater: retrains run on background threads, so a
+        // multi-second retrain neither stalls this loop nor overshoots the
+        // requested duration.
+        let ops_per_batch = 16usize;
+        let mut rng = nm_common::SplitMix64::new(churn.seed ^ 0xdead_beef);
+        let mut truth = OracleTruth::new(scfg.validate_every > 0, churn.set);
+        truth.publish(&oracle, handle.generation());
+        let mut pacer = UpdatePacer::new(churn.update_rate, ops_per_batch, churn.retrain_every);
+        let mut retrain_joins = Vec::new();
+        while start.elapsed().as_secs_f64() < churn.seconds {
+            pacer.tick(handle, &mut retrain_joins, |_| {
+                let b = drift_batch(churn.set, &mut rng, ops_per_batch);
+                truth.absorb(&b);
+                b
+            });
+            truth.publish(&oracle, handle.generation());
+        }
+        updates_applied = pacer.ops_applied();
+        // Wait out every retrain the pacer spawned so the stats below are
+        // settled and no trainer is killed by exit; a retrain bumps the
+        // generation with the same rule truth.
+        UpdatePacer::drain(retrain_joins);
+        truth.publish(&oracle, handle.generation());
         stop.store(true, std::sync::atomic::Ordering::SeqCst);
         for j in joins {
             let (s, t) = j.join().expect("load driver panicked");
@@ -558,10 +569,11 @@ where
     let stats = server.shutdown();
     Ok(WireOutcome {
         stats,
+        elapsed: start.elapsed().as_secs_f64(),
         driver_served,
         driver_timeouts,
-        updates_applied: counts.0,
-        retrains: counts.1,
+        updates_applied,
+        retrains: handle.retrains_completed(),
         udp_addr,
         tcp_addr,
         tcp_drivers,
@@ -603,102 +615,25 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
     scfg.validate_every = a.num_or("validate-every", scfg.validate_every)?;
 
     let trace = uniform_trace(&set, packets, seed);
+    let churn = Churn { set: &set, seconds, update_rate, retrain_every, seed };
+    let cfg = NuevoMatchConfig::default();
     let t0 = std::time::Instant::now();
-    let serve = if shards > 1 {
+    let (build_s, wire, generation, remainder_fraction) = if shards > 1 {
         let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
-        ServeHandle::Sharded(
-            ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
-                .map_err(|e| e.to_string())?,
-        )
+        let handle =
+            ShardedHandle::new(&set, &cfg, &plan, TupleMerge::build).map_err(|e| e.to_string())?;
+        let build_s = t0.elapsed().as_secs_f64();
+        let wire = serve_wire(&handle, &scfg, &trace, readers, batch, &churn)?;
+        (build_s, wire, handle.generation(), handle.remainder_fraction())
     } else {
-        ServeHandle::Plain(
-            ClassifierHandle::new(&set, &NuevoMatchConfig::default(), TupleMerge::build)
-                .map_err(|e| e.to_string())?,
-        )
+        let handle =
+            ClassifierHandle::new(&set, &cfg, TupleMerge::build).map_err(|e| e.to_string())?;
+        let build_s = t0.elapsed().as_secs_f64();
+        let wire = serve_wire(&handle, &scfg, &trace, readers, batch, &churn)?;
+        let remainder_fraction = handle.snapshot().engine().remainder_fraction();
+        (build_s, wire, handle.generation(), remainder_fraction)
     };
-    let build_s = t0.elapsed().as_secs_f64();
-
-    let ops_per_batch = 16usize;
-    let validate = scfg.validate_every > 0;
-    let mut rng = nm_common::SplitMix64::new(seed ^ 0xdead_beef);
-    let start = std::time::Instant::now();
-    let wire = match &serve {
-        // Whole-set handle: the shared pacer (same loop body
-        // `measure_update_curve` uses), retrains on background threads.
-        ServeHandle::Plain(handle) => {
-            serve_wire(handle.clone(), &scfg, &trace, readers, batch, |oracle| {
-                let mut truth = OracleTruth::new(validate, &set);
-                truth.publish(oracle, handle.generation());
-                let mut pacer = UpdatePacer::new(update_rate, ops_per_batch, retrain_every);
-                let mut retrain_joins = Vec::new();
-                while start.elapsed().as_secs_f64() < seconds {
-                    pacer.tick(handle, &mut retrain_joins, |_| {
-                        let b = drift_batch(&set, &mut rng, ops_per_batch);
-                        truth.absorb(&b);
-                        b
-                    });
-                    truth.publish(oracle, handle.generation());
-                }
-                let applied = pacer.ops_applied();
-                // Wait out every retrain the pacer spawned so the stats
-                // below are settled and no trainer is killed by exit; a
-                // retrain bumps the generation with the same rule truth.
-                UpdatePacer::drain(retrain_joins);
-                truth.publish(oracle, handle.generation());
-                (applied, handle.retrains_completed())
-            })?
-        }
-        // Sharded replicas: paced fan-out applies; retrains fan across
-        // every shard on a background thread, so a multi-second retrain
-        // neither stalls this updater loop nor overshoots the requested
-        // duration — the serve path keeps pinning coherent epochs.
-        ServeHandle::Sharded(sharded) => {
-            serve_wire(sharded.clone(), &scfg, &trace, readers, batch, |oracle| {
-                let mut truth = OracleTruth::new(validate, &set);
-                truth.publish(oracle, sharded.generation());
-                let interval = (update_rate > 0.0).then(|| {
-                    std::time::Duration::from_secs_f64(ops_per_batch as f64 / update_rate)
-                });
-                let mut next_fire = std::time::Instant::now();
-                let mut last_retrain = std::time::Instant::now();
-                let mut retrain_joins = Vec::new();
-                let mut applied = 0u64;
-                while start.elapsed().as_secs_f64() < seconds {
-                    match interval {
-                        Some(dt) if std::time::Instant::now() >= next_fire => {
-                            let batch = drift_batch(&set, &mut rng, ops_per_batch);
-                            applied += batch.len() as u64;
-                            truth.absorb(&batch);
-                            sharded.apply(&batch);
-                            next_fire += dt;
-                        }
-                        _ => std::thread::sleep(std::time::Duration::from_micros(200)),
-                    }
-                    let idle =
-                        retrain_joins.last().map_or(true, std::thread::JoinHandle::is_finished);
-                    if retrain_every > 0.0
-                        && idle
-                        && last_retrain.elapsed().as_secs_f64() >= retrain_every
-                    {
-                        last_retrain = std::time::Instant::now();
-                        let sharded = sharded.clone();
-                        retrain_joins.push(std::thread::spawn(move || sharded.retrain()));
-                    }
-                    truth.publish(oracle, sharded.generation());
-                }
-                // Wait out every spawned retrain so the stats below are
-                // settled and no trainer is killed by process exit.
-                let retrains = retrain_joins
-                    .into_iter()
-                    .filter_map(|j| j.join().ok())
-                    .filter(Result::is_ok)
-                    .count() as u64;
-                truth.publish(oracle, sharded.generation());
-                (applied, retrains)
-            })?
-        }
-    };
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = wire.elapsed;
     let stats = &wire.stats;
     let lat = stats.latency.summary_us();
     // Serve-side reader threads pinned round-robin over the topology: the
@@ -734,9 +669,9 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
             stats.responses as f64 / elapsed,
             update_rate,
             wire.updates_applied,
-            serve.generation(),
+            generation,
             wire.retrains,
-            serve.remainder_fraction(),
+            remainder_fraction,
             shards,
             pinned_readers,
             scfg.udp_readers,
@@ -804,9 +739,9 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
         lat.mean_us,
         wire.updates_applied,
         update_rate,
-        serve.generation(),
+        generation,
         wire.retrains,
-        serve.remainder_fraction() * 100.0,
+        remainder_fraction * 100.0,
         stats.validated,
         stats.mismatches,
         stats.oracle_skipped,
@@ -848,8 +783,7 @@ fn cmd_update_bench(a: &Args) -> Result<String, String> {
         // analytic drift floor each publish period enables at tau=2T. The
         // floor is parameterised by the *measured* remainder/fresh
         // throughput ratio, like the bench binary's artifact.
-        let lat =
-            nuevomatch::measure_retrain_latencies(&handle, &set).map_err(|e| e.to_string())?;
+        let lat = nm_bench::measure_retrain_latencies(&handle, &set).map_err(|e| e.to_string())?;
         let tm_pps = run_batched(&TupleMerge::build(&set), &trace, batch.max(1)).pps;
         let fresh_pps = run_batched(&handle, &trace, batch.max(1)).pps;
         let remainder_ratio = (tm_pps / fresh_pps.max(1e-9)).min(1.0);
@@ -1231,8 +1165,8 @@ mod tests {
         assert!(out.contains("\"shards\":1"), "{out}");
         assert!(out.contains("\"workers\":1"), "{out}");
 
-        // serve with per-shard handle replicas: updates fan out, retrains
-        // republish one logical generation.
+        // serve over the sharded handle: updates route to their shards,
+        // retrains republish one logical generation.
         let out = run(parse_command(&v(&[
             "serve",
             rp,

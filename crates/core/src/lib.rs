@@ -64,10 +64,6 @@ pub use config::{NuevoMatchConfig, PartialRetrainPolicy, RqRmiParams, TrainerKin
 pub use iset::{partition_isets, ISet, PartitionResult};
 pub use persist::{load_rqrmi, load_snapshot, save_rqrmi, save_snapshot};
 pub use rqrmi::{train_rqrmi, CompiledRqRmi, Isa, RqRmi};
-pub use system::handle::{
-    concentrated_drift, measure_retrain_latencies, measure_update_curve, RetrainLatencies,
-    UpdateBenchConfig, UpdateCurve, UpdateCurvePoint, UpdatePacer,
-};
 pub use system::runtime::{
     PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier, ShardedHandle, Topology,
 };
@@ -76,6 +72,6 @@ pub use system::serve::{
     Transport,
 };
 pub use system::{
-    ClassifierHandle, FlowCache, LookupBreakdown, NmSnapshot, NuevoMatch, PartialRetrainReport,
-    TrainedISet,
+    ClassifierHandle, FlowCache, Handle, LookupBreakdown, NmSnapshot, NuevoMatch,
+    PartialRetrainReport, Published, TrainedISet,
 };

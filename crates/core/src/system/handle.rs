@@ -1,4 +1,4 @@
-//! `ClassifierHandle` — the control-plane/data-plane split for NuevoMatch.
+//! The live handle: the control-plane/data-plane split for NuevoMatch.
 //!
 //! The paper's §3.9 lifecycle (updates drift rules to the remainder until a
 //! background retrain swaps in a fresh model, Figure 7) needs three roles
@@ -12,32 +12,35 @@
 //!   nothing and invalidate nothing.
 //! * A **retrainer** periodically resets the remainder drift and publishes
 //!   the result. Two paths exist: the **full rebuild**
-//!   ([`ClassifierHandle::retrain_full`]) retrains every iSet from the rule
-//!   truth; the **partial retrain** ([`ClassifierHandle::retrain_partial`],
-//!   §3.9 refinement) patches only the drifted RQ-RMI leaf submodels and
-//!   re-admits remainder rules in place, publishing orders of magnitude
-//!   sooner. [`ClassifierHandle::retrain`] picks partial when the
-//!   configured [`PartialRetrainPolicy`](crate::config::PartialRetrainPolicy)
-//!   gates pass and falls back to full otherwise (drift too broad, too few
-//!   rules re-admittable, or validation failure) — both paths are
+//!   ([`Handle::retrain_full`]) retrains every iSet from the rule truth; the
+//!   **partial retrain** ([`Handle::retrain_partial`], §3.9 refinement)
+//!   patches only the drifted RQ-RMI leaf submodels and re-admits remainder
+//!   rules in place, publishing orders of magnitude sooner.
+//!   [`Handle::retrain`] picks partial when the configured
+//!   [`PartialRetrainPolicy`](crate::config::PartialRetrainPolicy) gates
+//!   pass and falls back to full otherwise (drift too broad, too few rules
+//!   re-admittable, or validation failure) — both paths are
 //!   verdict-equivalent, so readers cannot tell which one published.
 //!
-//! The handle implements this with epoch-style snapshot publication: the
-//! live classifier is an immutable [`NmSnapshot`] behind an
-//! [`arc_swap::ArcSwap`]. Readers [`ClassifierHandle::snapshot`] (two atomic
-//! ops, never a lock) and classify against the pinned generation; the writer
-//! clones the current `NuevoMatch` — cheap, because the trained models and
-//! packed arrays sit behind `Arc`s and only tombstones + remainder are
-//! copied — applies the batch to the clone, and publishes it under the next
-//! generation. A batch is therefore **atomic**: readers observe all of it or
-//! none of it.
+//! [`Handle`] implements this protocol once, generic over the immutable
+//! value it publishes: a whole-set [`NmSnapshot`] ([`ClassifierHandle`]) or
+//! a [`ShardEpoch`](crate::system::runtime::ShardEpoch) of per-shard
+//! NuevoMatch engines ([`ShardedHandle`](crate::system::runtime::ShardedHandle)).
+//! The value sits behind an [`arc_swap::ArcSwap`]: readers
+//! [`Handle::snapshot`] it (two atomic ops, never a lock) and classify
+//! against the pinned generation; the writer clones the current value —
+//! cheap, because trained models and shard engines sit behind `Arc`s and
+//! only what the batch touches is copied — applies the batch to the clone,
+//! and publishes it under the next generation. A batch is therefore
+//! **atomic**: readers observe all of it or none of it, on every shard.
 //!
-//! Retraining pins the rule truth under the control lock, trains *without*
+//! Retraining pins the live value under the control lock, trains *without*
 //! the lock (readers and the writer proceed untouched), then replays the
 //! updates that arrived during training and publishes. The swap itself is
 //! one atomic pointer store; readers pinned to the old generation finish
 //! their batches on it and drop it.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -46,52 +49,141 @@ use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use nm_common::classifier::{Classifier, MatchResult};
-use nm_common::packet::TraceBuf;
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::RuleSet;
+use nm_common::shard::ShardPlan;
 use nm_common::update::{
     BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };
 use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
+use crate::system::serve::plane::{PinnedPlane, ServePlane};
 use crate::system::NuevoMatch;
 
-/// A generation-stamped immutable NuevoMatch — what the handle publishes and
-/// readers pin.
+pub(crate) use lifecycle::{Lifecycle, Recipe, Truth};
+
+/// A generation-stamped immutable NuevoMatch — what a [`ClassifierHandle`]
+/// publishes and readers pin.
 pub type NmSnapshot<R> = Snapshot<NuevoMatch<R>>;
 
-/// How to rebuild the classifier from scratch: the build parameters plus the
-/// remainder [`EngineBuilder`], held by the control plane for every retrain.
-struct RetrainRecipe<R> {
-    cfg: NuevoMatchConfig,
-    builder: Arc<dyn EngineBuilder<Engine = R>>,
+mod lifecycle {
+    use super::*;
+
+    /// The rule truth the control plane keeps: id → live version.
+    pub type Truth = HashMap<RuleId, Rule>;
+
+    /// How to rebuild from scratch: the build parameters plus the remainder
+    /// [`EngineBuilder`], held by the control plane for every retrain.
+    pub struct Recipe<R> {
+        pub cfg: NuevoMatchConfig,
+        pub builder: Arc<dyn EngineBuilder<Engine = R>>,
+    }
+
+    impl<R> Clone for Recipe<R> {
+        fn clone(&self) -> Self {
+            Self { cfg: self.cfg.clone(), builder: self.builder.clone() }
+        }
+    }
+
+    /// The lifecycle steps that depend on what a [`Handle`] publishes.
+    /// Implemented by [`NmSnapshot`] and the sharded epoch only.
+    pub trait Lifecycle: Classifier + Clone + Send + Sync + Sized + 'static {
+        /// The remainder engine a [`Recipe`] builds.
+        type Remainder: Classifier;
+        /// A batch in the form it lands on this value, and replays onto a
+        /// freshly trained one.
+        type Routed: Clone + Send;
+
+        /// Folds `batch` into `truth` op by op and routes it against the
+        /// truth as each op found it.
+        fn route<'b>(
+            &self,
+            batch: &'b UpdateBatch,
+            truth: &mut Option<Truth>,
+        ) -> Cow<'b, Self::Routed>;
+
+        /// Applies `batches` in order (copy-on-write: parts shared with a
+        /// published value are cloned before they change) and stamps the
+        /// result `generation`.
+        fn apply(self, batches: &[Self::Routed], generation: Generation) -> (Self, UpdateReport);
+
+        /// Patches the drifted leaf submodels in place of a full rebuild.
+        fn retrain_partial(&self, recipe: &Recipe<Self::Remainder>) -> Result<Self, Error>;
+
+        /// Builds a fresh value over `rules` (the truth, in priority order).
+        fn rebuild(
+            &self,
+            rules: Vec<Rule>,
+            recipe: &Recipe<Self::Remainder>,
+        ) -> Result<Self, Error>;
+
+        /// The shard plan readers steer by, when the value is sharded.
+        fn plan(&self) -> Option<&Arc<ShardPlan>> {
+            None
+        }
+    }
+}
+
+/// A value a [`Handle`] can publish: a whole-set [`NmSnapshot`] or a
+/// [`ShardEpoch`](crate::system::runtime::ShardEpoch) of NuevoMatch shards.
+/// Sealed — the lifecycle steps the two differ in stay private.
+pub trait Published: Lifecycle {}
+
+impl<P: Lifecycle> Published for P {}
+
+/// Folds one op into the truth map; returns the version it replaced.
+pub(crate) fn fold(truth: &mut Truth, op: &UpdateOp) -> Option<Rule> {
+    match op {
+        UpdateOp::Insert(r) | UpdateOp::Modify(r) => truth.insert(r.id, r.clone()),
+        UpdateOp::Remove(id) => truth.remove(id),
+    }
 }
 
 /// Control-plane state, touched only by writers (apply / retrain).
-struct Control<R> {
-    recipe: Option<RetrainRecipe<R>>,
-    /// Current rule truth (id → live version). `None` on handles constructed
-    /// from a bare classifier — those never maintain a map; a retrain
-    /// re-derives the truth from the live snapshot at its pin instead.
-    rules: Option<HashMap<RuleId, Rule>>,
-    /// Ops applied while a retrain is in flight; replayed onto the fresh
-    /// classifier before it is published.
-    pending: Vec<UpdateOp>,
+struct Control<P: Lifecycle> {
+    recipe: Option<Recipe<P::Remainder>>,
+    /// Current rule truth. `None` on read-only handles, which never retrain.
+    rules: Option<Truth>,
+    /// Batches applied while a retrain is in flight, as routed; replayed
+    /// onto the fresh value before it is published.
+    pending: Vec<P::Routed>,
 }
 
-struct Shared<R: Classifier> {
-    live: ArcSwap<NmSnapshot<R>>,
-    ctl: Mutex<Control<R>>,
+struct Shared<P: Lifecycle> {
+    live: ArcSwap<P>,
+    /// The plan every published value steers by (`None`: one shard).
+    plan: Option<Arc<ShardPlan>>,
+    ctl: Mutex<Control<P>>,
     retraining: AtomicBool,
     retrains: AtomicU64,
     /// How many completed retrains took the partial (leaf-level) path.
     partial_retrains: AtomicU64,
 }
 
-/// Shared handle to a live NuevoMatch classifier: lock-free reads against an
-/// atomically swapped immutable snapshot, transactional writes, background
+/// Marks a retrain in flight for as long as it lives.
+struct InFlight<'a>(&'a AtomicBool);
+
+impl<'a> InFlight<'a> {
+    fn begin(flag: &'a AtomicBool) -> Option<Self> {
+        (!flag.swap(true, SeqCst)).then_some(Self(flag))
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.swap(false, SeqCst);
+    }
+}
+
+/// Shared handle to a live classifier: lock-free reads against an
+/// atomically swapped immutable value `P`, transactional writes, background
 /// retrains. Clone it freely — clones address the same classifier.
+pub struct Handle<P: Published> {
+    shared: Arc<Shared<P>>,
+}
+
+/// [`Handle`] over whole-set [`NmSnapshot`]s.
 ///
 /// ```
 /// use nm_common::{Classifier, FieldsSpec, FiveTuple, LinearSearch, RuleSet, UpdateBatch};
@@ -120,65 +212,21 @@ struct Shared<R: Classifier> {
 /// handle.retrain().unwrap();
 /// assert_eq!(handle.classify(&[0, 0, 0, 550, 0]), None);
 /// ```
-pub struct ClassifierHandle<R: Classifier> {
-    shared: Arc<Shared<R>>,
-}
+pub type ClassifierHandle<R> = Handle<NmSnapshot<R>>;
 
-impl<R: Classifier> Clone for ClassifierHandle<R> {
+impl<P: Published> Clone for Handle<P> {
     fn clone(&self) -> Self {
         Self { shared: self.shared.clone() }
     }
 }
 
-impl<R: Classifier> ClassifierHandle<R> {
-    /// Builds the classifier from `set` and wraps it in a handle that can
-    /// update and retrain. The builder is retained: every retrain re-invokes
-    /// it on the then-current rule truth.
-    pub fn new<B>(set: &RuleSet, cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
-    where
-        B: EngineBuilder<Engine = R> + 'static,
-    {
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        let nm = NuevoMatch::build(set, cfg, builder.clone())?;
-        let rules = set.rules().iter().map(|r| (r.id, r.clone())).collect();
-        Ok(Self::assemble(nm, 1, Some(RetrainRecipe { cfg: cfg.clone(), builder }), Some(rules)))
-    }
-
-    /// Wraps an already-built classifier in a read/serve-only handle:
-    /// snapshots, generation tracking, updates and the parallel runtime all
-    /// work, but no rule truth is tracked and no builder retained, so
-    /// [`ClassifierHandle::retrain`] reports an error.
-    pub fn read_only(nm: NuevoMatch<R>) -> Self {
-        Self::assemble(nm, 1, None, None)
-    }
-
-    /// Restores a handle around a classifier that already carries history
-    /// (snapshot warm-start): `generation` seeds the published stamp and the
-    /// rule truth comes from `rules`.
-    pub(crate) fn restore<B>(
-        nm: NuevoMatch<R>,
-        generation: Generation,
-        cfg: &NuevoMatchConfig,
-        builder: B,
-        rules: Vec<Rule>,
-    ) -> Self
-    where
-        B: EngineBuilder<Engine = R> + 'static,
-    {
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        Self::assemble(
-            nm,
-            generation.max(1),
-            Some(RetrainRecipe { cfg: cfg.clone(), builder }),
-            Some(rules.into_iter().map(|r| (r.id, r)).collect()),
-        )
-    }
-
-    fn assemble(
-        nm: NuevoMatch<R>,
-        generation: Generation,
-        recipe: Option<RetrainRecipe<R>>,
-        rules: Option<HashMap<RuleId, Rule>>,
+impl<P: Published> Handle<P> {
+    /// Wraps the first published value. A handle with a `recipe` must track
+    /// the rule truth.
+    pub(crate) fn assemble(
+        value: P,
+        recipe: Option<Recipe<P::Remainder>>,
+        rules: Option<Truth>,
     ) -> Self {
         debug_assert!(
             recipe.is_none() || rules.is_some(),
@@ -186,7 +234,8 @@ impl<R: Classifier> ClassifierHandle<R> {
         );
         Self {
             shared: Arc::new(Shared {
-                live: ArcSwap::new(Arc::new(Snapshot::new(nm, generation))),
+                plan: value.plan().cloned(),
+                live: ArcSwap::new(Arc::new(value)),
                 ctl: Mutex::new(Control { recipe, rules, pending: Vec::new() }),
                 retraining: AtomicBool::new(false),
                 retrains: AtomicU64::new(0),
@@ -195,17 +244,17 @@ impl<R: Classifier> ClassifierHandle<R> {
         }
     }
 
-    /// Pins the current snapshot. Never blocks (two atomic ops); the
-    /// returned `Arc` keeps that generation's models alive for as long as
-    /// the reader holds it, regardless of concurrent updates and retrains.
-    pub fn snapshot(&self) -> Arc<NmSnapshot<R>> {
+    /// Pins the current value. Never blocks (two atomic ops); the returned
+    /// `Arc` keeps that generation alive for as long as the reader holds
+    /// it, regardless of concurrent updates and retrains.
+    pub fn snapshot(&self) -> Arc<P> {
         self.shared.live.load_full()
     }
 
     /// The published generation (bumps on every effective applied batch and
     /// every retrain publish).
     ///
-    /// Derived from the live snapshot itself, so it can never disagree with
+    /// Derived from the live value itself, so it can never disagree with
     /// what a subsequently pinned snapshot reports: pin first, and
     /// `generation() >= snapshot.generation()` holds at every instant. (A
     /// separate atomic mirror — the previous design — was updated after the
@@ -232,45 +281,24 @@ impl<R: Classifier> ClassifierHandle<R> {
         self.shared.partial_retrains.load(SeqCst)
     }
 
-    /// Publishes `snap` as the next generation. Caller must hold the ctl
-    /// lock (single-writer discipline). The stamp lives inside the snapshot
-    /// — one atomic store makes both visible together, which is what keeps
-    /// [`ClassifierHandle::generation`] and the published view consistent.
-    fn publish(&self, nm: NuevoMatch<R>) -> Generation {
-        let generation = self.shared.live.load().generation() + 1;
-        self.shared.live.store(Arc::new(Snapshot::new(nm, generation)));
+    /// Publishes `value`, stamped `generation() + 1` by its caller, which
+    /// holds the ctl lock (single-writer discipline). The stamp lives inside
+    /// the value — one atomic store makes both visible together, which is
+    /// what keeps [`Handle::generation`] and the published view consistent.
+    fn publish(&self, value: P) -> Generation {
+        let generation = value.generation();
+        self.shared.live.store(Arc::new(value));
         generation
     }
-}
 
-impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
-    /// Warm-starts a handle from a [`crate::persist::save_snapshot`] image:
-    /// models, iSet tables, tombstones and remainder rules all load as
-    /// persisted — no retraining — and the handle resumes at the persisted
-    /// generation, ready to update and retrain.
-    pub fn from_snapshot<B>(data: &[u8], cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
-    where
-        B: EngineBuilder<Engine = R> + 'static,
-    {
-        let (nm, generation) = crate::persist::load_snapshot(data, &builder)?;
-        let rules = nm.live_rules();
-        Ok(Self::restore(nm, generation, cfg, builder, rules))
-    }
-
-    /// Serialises the live snapshot (see [`crate::persist::save_snapshot`]);
-    /// a later [`ClassifierHandle::from_snapshot`] resumes from it without
-    /// retraining.
-    pub fn save(&self) -> Vec<u8> {
-        let snap = self.snapshot();
-        crate::persist::save_snapshot(snap.engine(), snap.generation())
-    }
-
-    /// Applies one transaction and publishes the result as a new snapshot.
+    /// Applies one transaction and publishes the result as a new value.
     ///
     /// Concurrent readers never see a partially-applied batch: they keep
-    /// classifying against the previous snapshot until the atomic swap, then
-    /// see all of it. Writers are serialised by the control lock; returns
-    /// the same accounting as [`NuevoMatch::apply`].
+    /// classifying against the previous value until the atomic swap, then
+    /// see all of it. Writers are serialised by the control lock; a batch
+    /// that arrives during a retrain is applied now and replayed onto the
+    /// retrained value. Returns the same accounting as [`NuevoMatch::apply`]
+    /// on one whole-set engine.
     pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
         if batch.is_empty() {
             // Nothing to publish: cloning the engine and bumping the
@@ -280,19 +308,20 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             return UpdateReport::default();
         }
         let mut ctl = self.shared.ctl.lock();
-        Self::fold_truth(&mut ctl.rules, batch);
-        if self.shared.retraining.load(SeqCst) {
-            ctl.pending.extend(batch.ops().iter().cloned());
+        let live = self.snapshot();
+        let routed = live.route(batch, &mut ctl.rules);
+        // Copy-on-write: clone the live value (Arc-shared models and
+        // shards), mutate the clone, publish.
+        let (next, report) =
+            P::clone(&live).apply(std::slice::from_ref(&*routed), live.generation() + 1);
+        if self.retrain_in_progress() {
+            ctl.pending.push(routed.into_owned());
         }
-        // Copy-on-write: clone the live engine (Arc-shared models +
-        // tombstones and remainder), mutate the clone, publish.
-        let mut next = self.snapshot().engine().clone();
-        let report = next.apply(batch);
+        // A batch of pure misses changed nothing: drop the clone and keep
+        // the published value (and its generation) as they are.
         if report.changed() {
             self.publish(next);
         }
-        // A batch of pure misses changed nothing: drop the clone and keep
-        // the published snapshot (and its generation) as they are.
         report
     }
 
@@ -302,24 +331,22 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// When the retained config's
     /// [`PartialRetrainPolicy`](crate::config::PartialRetrainPolicy) allows
     /// it, this first attempts the **partial** (leaf-level) path —
-    /// [`ClassifierHandle::retrain_partial`] — and falls back to the full
-    /// rebuild ([`ClassifierHandle::retrain_full`]) when a gate fires:
-    /// drift spread over too many leaf submodels, too few drifted rules
-    /// re-admittable, or post-patch validation failure. Either way the
-    /// published snapshot serves exactly the current rule truth; the two
-    /// paths are verdict-equivalent.
+    /// [`Handle::retrain_partial`] — and falls back to the full rebuild
+    /// ([`Handle::retrain_full`]) when it errors. Either way the published
+    /// value serves exactly the current rule truth; the two paths are
+    /// verdict-equivalent.
     ///
-    /// Errors if the handle was built [`ClassifierHandle::read_only`], if a
-    /// retrain is already in flight, or if training fails.
+    /// Errors if the handle was built read-only, if a retrain is already in
+    /// flight, or if training fails.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        let partial_enabled = {
-            let ctl = self.shared.ctl.lock();
-            match ctl.recipe.as_ref() {
-                Some(recipe) => recipe.cfg.partial_retrain.enabled,
-                None => false, // retrain_full reports the read-only error
-            }
-        };
-        if partial_enabled {
+        let partial = self
+            .shared
+            .ctl
+            .lock()
+            .recipe
+            .as_ref()
+            .is_some_and(|recipe| recipe.cfg.partial_retrain.enabled);
+        if partial {
             // A gate error falls back to the full rebuild; an "in flight"
             // error resurfaces there unchanged (the flag is still set).
             if let Ok(generation) = self.retrain_partial() {
@@ -329,7 +356,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         self.retrain_full()
     }
 
-    /// Incremental (partial) retrain: patches the pinned snapshot through
+    /// Incremental (partial) retrain: patches the pinned value through
     /// [`NuevoMatch::partial_retrain`] — re-admitting drifted remainder
     /// rules into their iSets and re-fitting only the affected RQ-RMI leaf
     /// submodels — and publishes the result. The patch runs *without* the
@@ -338,139 +365,72 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// train, the publish period (and hence the Figure 7 drift floor) drops
     /// by the measured partial/full latency ratio.
     ///
-    /// Errors — **without** falling back — when the policy gates refuse
-    /// (use [`ClassifierHandle::retrain`] for automatic fallback), when the
-    /// handle is read-only, or when a retrain is already in flight.
+    /// A whole-set handle errors — **without** falling back — when the
+    /// policy gates refuse (use [`Handle::retrain`] for automatic
+    /// fallback); a sharded handle rebuilds just the refused shards in
+    /// full. Also errors when the handle is read-only or a retrain is
+    /// already in flight.
     pub fn retrain_partial(&self) -> Result<Generation, Error> {
-        // Pin: snapshot + config under the lock, so no batch lands between
-        // the pending-queue reset and the pin.
-        let (cfg, pinned) = {
-            let mut ctl = self.shared.ctl.lock();
-            let cfg = ctl.recipe.as_ref().map(|recipe| recipe.cfg.clone()).ok_or_else(|| {
-                Error::Build {
-                    msg: "ClassifierHandle::retrain_partial: read-only handle (no config retained)"
-                        .to_string(),
-                }
-            })?;
-            if self.shared.retraining.swap(true, SeqCst) {
-                return Err(Error::Build {
-                    msg: "ClassifierHandle::retrain_partial: a retrain is already in flight"
-                        .to_string(),
-                });
-            }
-            ctl.pending.clear();
-            (cfg, self.snapshot())
-        };
-        // Patch: leaf-level work, no locks held.
-        let result = pinned.engine().partial_retrain(&cfg);
-        // Publish: replay what arrived during the patch, swap, unmark.
-        let mut ctl = self.shared.ctl.lock();
-        let (mut fresh, _report) = match result {
-            Ok(patched) => patched,
-            Err(e) => {
-                self.shared.retraining.store(false, SeqCst);
-                return Err(e);
-            }
-        };
-        if !ctl.pending.is_empty() {
-            let replay: UpdateBatch = ctl.pending.drain(..).collect();
-            fresh.apply(&replay);
-        }
-        let generation = self.publish(fresh);
-        self.shared.retraining.store(false, SeqCst);
-        self.shared.retrains.fetch_add(1, SeqCst);
-        self.shared.partial_retrains.fetch_add(1, SeqCst);
-        Ok(generation)
+        self.retrain_with(true)
     }
 
-    /// Rebuilds the classifier from scratch over the current rule truth and
-    /// atomically swaps it in, resetting the §3.9 remainder drift
-    /// completely (including the iSet partition). Training runs *without*
-    /// the control lock, so the writer keeps applying batches (they are
-    /// replayed onto the fresh classifier before it publishes) and readers
-    /// never block. Returns the published generation.
+    /// Rebuilds from scratch over the current rule truth and atomically
+    /// swaps the result in, resetting the §3.9 remainder drift completely
+    /// (including the iSet partition). Training runs *without* the control
+    /// lock, so the writer keeps applying batches (they are replayed onto
+    /// the fresh value before it publishes) and readers never block.
+    /// Returns the published generation.
     ///
-    /// Errors if the handle was built [`ClassifierHandle::read_only`], if a
-    /// retrain is already in flight, or if training fails.
+    /// Errors if the handle was built read-only, if a retrain is already in
+    /// flight, or if training fails.
     pub fn retrain_full(&self) -> Result<Generation, Error> {
-        // Pin: capture the truth and the recipe under the lock.
-        let (set, cfg, builder) = {
+        self.retrain_with(false)
+    }
+
+    /// One retrain: pin, train with no lock held, replay, publish.
+    fn retrain_with(&self, partial: bool) -> Result<Generation, Error> {
+        // Pin the live value, the recipe and (for a full rebuild) the rule
+        // truth under the control lock, so no batch lands between the
+        // pending-queue reset and the pin.
+        let (pinned, recipe, mut rules, in_flight) = {
             let mut ctl = self.shared.ctl.lock();
-            let recipe = ctl.recipe.as_ref().ok_or_else(|| Error::Build {
-                msg: "ClassifierHandle::retrain: read-only handle (no EngineBuilder retained)"
-                    .to_string(),
+            let recipe = ctl.recipe.clone().ok_or_else(|| Error::Build {
+                msg: "retrain: read-only handle (no EngineBuilder retained)".to_string(),
             })?;
-            if self.shared.retraining.swap(true, SeqCst) {
-                return Err(Error::Build {
-                    msg: "ClassifierHandle::retrain: a retrain is already in flight".to_string(),
-                });
-            }
-            let (cfg, builder) = (recipe.cfg.clone(), recipe.builder.clone());
-            let snapshot = self.snapshot();
-            // Invariant (held by every constructor): a handle with a
-            // retrain recipe also tracks the rule truth.
-            let mut rules: Vec<Rule> = ctl
-                .rules
-                .as_ref()
-                .expect("recipe-bearing handles always track rule truth")
-                .values()
-                .cloned()
-                .collect();
+            let in_flight = InFlight::begin(&self.shared.retraining).ok_or_else(|| {
+                Error::Build { msg: "retrain: a retrain is already in flight".to_string() }
+            })?;
+            ctl.pending.clear();
+            let rules: Vec<Rule> = match (&ctl.rules, partial) {
+                (Some(map), false) => map.values().cloned().collect(),
+                _ => Vec::new(),
+            };
+            (self.snapshot(), recipe, rules, in_flight)
+        };
+        // Train: the long pole, executed with no locks held.
+        let fresh = if partial {
+            pinned.retrain_partial(&recipe)?
+        } else {
             // Rebuild in priority order, not map order: engines whose build
             // is insertion-order-sensitive (TupleMerge's table formation)
             // degrade badly on a randomised rule order, and determinism
             // makes retrains reproducible.
             rules.sort_by_key(|r| (r.priority, r.id));
-            ctl.pending.clear();
-            let spec = snapshot.engine().spec().clone();
-            match RuleSet::new(spec, rules) {
-                Ok(set) => (set, cfg, builder),
-                Err(e) => {
-                    self.shared.retraining.store(false, SeqCst);
-                    return Err(e);
-                }
-            }
+            pinned.rebuild(rules, &recipe)?
         };
-        // Train: the long pole, executed with no locks held.
-        let fresh = match NuevoMatch::build(&set, &cfg, builder) {
-            Ok(nm) => nm,
-            Err(e) => {
-                self.shared.retraining.store(false, SeqCst);
-                return Err(e);
-            }
-        };
-        // Publish: replay what arrived during training, swap, unmark.
+        // Publish: replay what arrived during training, swap, count, unmark.
         let mut ctl = self.shared.ctl.lock();
-        let mut fresh = fresh;
-        if !ctl.pending.is_empty() {
-            let replay: UpdateBatch = ctl.pending.drain(..).collect();
-            fresh.apply(&replay);
-        }
+        let (fresh, _) = fresh.apply(&ctl.pending, self.generation() + 1);
+        ctl.pending.clear();
         let generation = self.publish(fresh);
-        self.shared.retraining.store(false, SeqCst);
         self.shared.retrains.fetch_add(1, SeqCst);
+        if partial {
+            self.shared.partial_retrains.fetch_add(1, SeqCst);
+        }
+        drop(in_flight);
         Ok(generation)
     }
 
-    /// Folds a batch into the truth map. Handles without a map (started from
-    /// a bare classifier) skip this — their retrains re-derive the truth
-    /// from the live snapshot instead of maintaining it incrementally.
-    fn fold_truth(rules: &mut Option<HashMap<RuleId, Rule>>, batch: &UpdateBatch) {
-        let Some(map) = rules.as_mut() else { return };
-        for op in batch.ops() {
-            match op {
-                UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
-                    map.insert(r.id, r.clone());
-                }
-                UpdateOp::Remove(id) => {
-                    map.remove(id);
-                }
-            }
-        }
-    }
-}
-
-impl<R: BatchUpdatable + Clone + Send + Sync + 'static> ClassifierHandle<R> {
     /// Kicks a retrain off on a background thread and returns its join
     /// handle. Dropping the join handle detaches the retrain; its publish
     /// still lands.
@@ -480,7 +440,87 @@ impl<R: BatchUpdatable + Clone + Send + Sync + 'static> ClassifierHandle<R> {
     }
 }
 
-impl<R: Classifier> Classifier for ClassifierHandle<R> {
+impl<R: BatchUpdatable + Clone + Send + Sync + 'static> ClassifierHandle<R> {
+    /// Builds the classifier from `set` and wraps it in a handle that can
+    /// update and retrain. The builder is retained: every retrain re-invokes
+    /// it on the then-current rule truth.
+    pub fn new<B>(set: &RuleSet, cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
+    where
+        B: EngineBuilder<Engine = R> + 'static,
+    {
+        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
+        let nm = NuevoMatch::build(set, cfg, builder.clone())?;
+        let rules = set.rules().iter().map(|r| (r.id, r.clone())).collect();
+        let recipe = Recipe { cfg: cfg.clone(), builder };
+        Ok(Self::assemble(Snapshot::new(nm, 1), Some(recipe), Some(rules)))
+    }
+
+    /// Wraps an already-built classifier in a read/serve-only handle:
+    /// snapshots, generation tracking, updates and the parallel runtime all
+    /// work, but no rule truth is tracked and no builder retained, so
+    /// [`Handle::retrain`] reports an error.
+    pub fn read_only(nm: NuevoMatch<R>) -> Self {
+        Self::assemble(Snapshot::new(nm, 1), None, None)
+    }
+
+    /// Warm-starts a handle from a [`crate::persist::save_snapshot`] image:
+    /// models, iSet tables, tombstones and remainder rules all load as
+    /// persisted — no retraining — and the handle resumes at the persisted
+    /// generation, ready to update and retrain.
+    pub fn from_snapshot<B>(data: &[u8], cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
+    where
+        B: EngineBuilder<Engine = R> + 'static,
+    {
+        let (nm, generation) = crate::persist::load_snapshot(data, &builder)?;
+        let rules = nm.live_rules().into_iter().map(|r| (r.id, r)).collect();
+        let recipe = Recipe { cfg: cfg.clone(), builder: Arc::new(builder) };
+        Ok(Self::assemble(Snapshot::new(nm, generation.max(1)), Some(recipe), Some(rules)))
+    }
+
+    /// Serialises the live snapshot (see [`crate::persist::save_snapshot`]);
+    /// a later [`ClassifierHandle::from_snapshot`] resumes from it without
+    /// retraining.
+    pub fn save(&self) -> Vec<u8> {
+        let snap = self.snapshot();
+        crate::persist::save_snapshot(snap.engine(), snap.generation())
+    }
+}
+
+impl<R: BatchUpdatable + Clone + Send + Sync + 'static> Lifecycle for NmSnapshot<R> {
+    type Remainder = R;
+    type Routed = UpdateBatch;
+
+    fn route<'b>(&self, batch: &'b UpdateBatch, truth: &mut Option<Truth>) -> Cow<'b, UpdateBatch> {
+        if let Some(truth) = truth {
+            for op in batch.ops() {
+                fold(truth, op);
+            }
+        }
+        Cow::Borrowed(batch)
+    }
+
+    fn apply(self, batches: &[UpdateBatch], generation: Generation) -> (Self, UpdateReport) {
+        let mut nm = self.into_engine();
+        let mut report = UpdateReport::default();
+        for batch in batches {
+            report.absorb(nm.apply(batch));
+        }
+        (Snapshot::new(nm, generation), report)
+    }
+
+    fn retrain_partial(&self, recipe: &Recipe<R>) -> Result<Self, Error> {
+        let (nm, _report) = self.engine().partial_retrain(&recipe.cfg)?;
+        Ok(Snapshot::new(nm, self.generation()))
+    }
+
+    fn rebuild(&self, rules: Vec<Rule>, recipe: &Recipe<R>) -> Result<Self, Error> {
+        let set = RuleSet::new(self.engine().spec().clone(), rules)?;
+        let nm = NuevoMatch::build(&set, &recipe.cfg, recipe.builder.clone())?;
+        Ok(Snapshot::new(nm, self.generation()))
+    }
+}
+
+impl<P: Published> Classifier for Handle<P> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
         self.snapshot().classify(key)
     }
@@ -490,7 +530,7 @@ impl<R: Classifier> Classifier for ClassifierHandle<R> {
     }
 
     /// One snapshot pin per batch: every packet in the batch is classified
-    /// against the same generation.
+    /// against the same generation, on every shard.
     fn batch_lookup(
         &self,
         keys: &[u64],
@@ -514,325 +554,29 @@ impl<R: Classifier> Classifier for ClassifierHandle<R> {
     }
 
     fn generation(&self) -> Generation {
-        ClassifierHandle::generation(self)
+        Handle::generation(self)
     }
 }
 
-/// Parameters for [`measure_update_curve`] — the measured analogue of the
-/// paper's Figure 7 experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct UpdateBenchConfig {
-    /// Total measurement horizon (seconds).
-    pub duration_s: f64,
-    /// Sampling period for throughput points (seconds).
-    pub sample_every_s: f64,
-    /// Target update rate (rule updates per second).
-    pub updates_per_s: f64,
-    /// Updates grouped per [`UpdateBatch`] transaction.
-    pub ops_per_batch: usize,
-    /// Retrain trigger period (seconds); `0.0` disables retraining.
-    pub retrain_period_s: f64,
-    /// Classification batch size for the reader (paper: 128).
-    pub batch: usize,
-}
-
-impl Default for UpdateBenchConfig {
-    fn default() -> Self {
-        Self {
-            duration_s: 10.0,
-            sample_every_s: 0.25,
-            updates_per_s: 1_000.0,
-            ops_per_batch: 32,
-            retrain_period_s: 4.0,
-            batch: 128,
-        }
-    }
-}
-
-/// One sample of the measured Figure 7 curve.
-#[derive(Clone, Copy, Debug)]
-pub struct UpdateCurvePoint {
-    /// Sample time since measurement start (seconds).
-    pub t_s: f64,
-    /// Reader throughput over the sample window (packets per second).
-    pub pps: f64,
-    /// Published generation at the sample instant.
-    pub generation: Generation,
-    /// Fraction of rules served by the remainder at the sample instant.
-    pub remainder_fraction: f64,
-    /// Retrains completed so far.
-    pub retrains: u64,
-}
-
-/// Paces a live-serving control plane: applies update transactions at a
-/// target ops/second (grouped into batches) and spawns background retrains
-/// on a fixed period, tracking their join handles so [`UpdatePacer::drain`]
-/// can wait out every retrain it started.
-///
-/// This is the writer-side loop body shared by [`measure_update_curve`] and
-/// `nmctl serve`: call [`UpdatePacer::tick`] repeatedly from the writer
-/// thread; it either applies one due batch or sleeps a beat.
-pub struct UpdatePacer {
-    interval: Option<std::time::Duration>,
-    next_fire: std::time::Instant,
-    retrain_period_s: f64,
-    last_retrain: std::time::Instant,
-    seq: u64,
-    ops_applied: u64,
-}
-
-impl UpdatePacer {
-    /// A pacer firing `ops_per_batch`-op transactions so that roughly
-    /// `updates_per_s` ops land per second (`<= 0.0` disables updates), and
-    /// triggering a background retrain every `retrain_period_s` seconds
-    /// (`<= 0.0` disables retrains).
-    pub fn new(updates_per_s: f64, ops_per_batch: usize, retrain_period_s: f64) -> Self {
-        let interval = (updates_per_s > 0.0).then(|| {
-            std::time::Duration::from_secs_f64(ops_per_batch.max(1) as f64 / updates_per_s)
-        });
-        let now = std::time::Instant::now();
-        Self {
-            interval,
-            next_fire: now,
-            retrain_period_s,
-            last_retrain: now,
-            seq: 0,
-            ops_applied: 0,
-        }
-    }
-
-    /// One pacing step against `handle`: applies `make_batch(seq)` if a
-    /// transaction is due (otherwise sleeps ~200µs), and spawns a retrain if
-    /// the period elapsed and none is in flight. Returns the ops applied by
-    /// this tick. `joins` collects the handles of spawned retrains — pass
-    /// the same vector to every tick and hand it to [`UpdatePacer::drain`]
-    /// when the serving loop stops.
-    pub fn tick<R, F>(
-        &mut self,
-        handle: &ClassifierHandle<R>,
-        joins: &mut Vec<std::thread::JoinHandle<Result<Generation, Error>>>,
-        make_batch: F,
-    ) -> usize
-    where
-        R: BatchUpdatable + Clone + Send + Sync + 'static,
-        F: FnOnce(u64) -> UpdateBatch,
-    {
-        let mut applied = 0;
-        match self.interval {
-            Some(interval) if std::time::Instant::now() >= self.next_fire => {
-                let batch = make_batch(self.seq);
-                self.seq += 1;
-                applied = batch.len();
-                self.ops_applied += applied as u64;
-                handle.apply(&batch);
-                self.next_fire += interval;
-            }
-            _ => std::thread::sleep(std::time::Duration::from_micros(200)),
-        }
-        if self.retrain_period_s > 0.0
-            && self.last_retrain.elapsed().as_secs_f64() >= self.retrain_period_s
-            && !handle.retrain_in_progress()
-        {
-            self.last_retrain = std::time::Instant::now();
-            joins.push(handle.spawn_retrain());
-        }
-        applied
-    }
-
-    /// Total update ops applied across all ticks.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
-    }
-
-    /// Joins every retrain this pacer spawned (results discarded — an
-    /// "already in flight" loss is benign). Without this, a retrain spawned
-    /// on the final tick could still be warming up when the caller reads its
-    /// "settled" stats, or be killed mid-train by process exit.
-    pub fn drain(joins: Vec<std::thread::JoinHandle<Result<Generation, Error>>>) {
-        for join in joins {
-            let _ = join.join();
-        }
-    }
-}
-
-/// Builds the §3.9 *concentrated* (single-leaf) drift batch: `ops` modifies
-/// that re-insert — boxes unchanged — the rules at the lowest positions of
-/// the classifier's largest iSet. Positions are sorted by the iSet field's
-/// lower bound, so the drift lands in one or two neighbouring leaf
-/// submodels: the cheap case for a partial retrain, and the workload the
-/// retrain-latency comparison is defined over.
-pub fn concentrated_drift<R: Classifier>(
-    nm: &NuevoMatch<R>,
-    set: &RuleSet,
-    ops: usize,
-) -> Result<UpdateBatch, Error> {
-    let iset = nm.isets().first().ok_or_else(|| Error::Build {
-        msg: "concentrated_drift: no iSet formed (nothing to drift from)".to_string(),
-    })?;
-    let mut batch = UpdateBatch::new();
-    for pos in 0..ops.min(iset.len()) {
-        batch = batch.modify(set.rule(iset.rule_id_at(pos)).clone());
-    }
-    Ok(batch)
-}
-
-/// Latencies of the two retrain flavours under the same reproducible
-/// concentrated drift (see [`measure_retrain_latencies`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RetrainLatencies {
-    /// Seconds to republish via the partial (leaf-level) path.
-    pub partial_s: f64,
-    /// Seconds to republish via the full rebuild.
-    pub full_s: f64,
-    /// Update ops in the concentrated drift batch.
-    pub drift_ops: usize,
-    /// Fraction of the drifted iSet's leaf submodels holding tombstones
-    /// just before the partial retrain (the drift-concentration profile
-    /// from [`crate::TrainedISet::leaf_tombstone_counts`]).
-    pub dirty_leaf_fraction: f64,
-}
-
-impl RetrainLatencies {
-    /// How many times faster the partial path republished.
-    pub fn speedup(&self) -> f64 {
-        self.full_s / self.partial_s.max(1e-9)
-    }
-}
-
-/// Measures partial vs full retrain latency on `handle` (built over `set`)
-/// under a [`concentrated_drift`] workload — the §3.9 refinement's
-/// headline number, shared by `nm-bench --bin update_bench` and
-/// `nmctl update-bench --bench-json` so the two artifacts can never drift
-/// apart in methodology.
-///
-/// Protocol: full retrain to reach a drift-free baseline, apply the
-/// concentrated drift and time [`ClassifierHandle::retrain_partial`], then
-/// apply the same drift again and time [`ClassifierHandle::retrain_full`].
-/// The handle ends drift-free. The drifted rules are re-inserted with
-/// unchanged boxes, so they are always fully re-admittable and the default
-/// partial-retrain gates pass.
-pub fn measure_retrain_latencies<R>(
-    handle: &ClassifierHandle<R>,
-    set: &RuleSet,
-) -> Result<RetrainLatencies, Error>
+/// A handle serves the value it publishes; a sharded one also tells the
+/// runtime how to steer.
+impl<P: Published> ServePlane for Handle<P>
 where
-    R: BatchUpdatable + Clone,
+    Arc<P>: PinnedPlane,
 {
-    use std::time::Instant;
-    handle.retrain_full()?;
-    let drift_ops = (set.len() / 100).clamp(4, 512);
-    let drift = concentrated_drift(handle.snapshot().engine(), set, drift_ops)?;
-    handle.apply(&drift);
-    let dirty_leaf_fraction = {
-        let snap = handle.snapshot();
-        let counts = snap.engine().isets()[0].leaf_tombstone_counts();
-        counts.iter().filter(|&&c| c > 0).count() as f64 / counts.len().max(1) as f64
-    };
-    let t0 = Instant::now();
-    handle.retrain_partial()?;
-    let partial_s = t0.elapsed().as_secs_f64();
-    handle.apply(&drift);
-    let t0 = Instant::now();
-    handle.retrain_full()?;
-    let full_s = t0.elapsed().as_secs_f64();
-    Ok(RetrainLatencies { partial_s, full_s, drift_ops, dirty_leaf_fraction })
-}
+    type Pin = Arc<P>;
 
-/// What [`measure_update_curve`] measured: the sampled throughput curve
-/// plus the per-batch service-latency histogram (one sample per
-/// `classify_batch` call, nanoseconds), replacing the ad-hoc derived
-/// latency numbers older callers computed from `pps`.
-#[derive(Clone, Debug, Default)]
-pub struct UpdateCurve {
-    /// Windowed throughput samples over the run.
-    pub points: Vec<UpdateCurvePoint>,
-    /// Reader-side per-batch classification latency.
-    pub batch_latency: nm_common::LatencyHistogram,
-}
-
-/// Measures throughput-under-updates (Figure 7, §3.9) against a live
-/// [`ClassifierHandle`]: one reader thread classifies the trace in batches
-/// continuously, an updater thread applies `make_batch(i)` transactions at
-/// the configured rate, and retrains fire on their period in the background.
-/// Readers never block on any of it — that is the property under test.
-///
-/// Returns the sampled curve plus the per-batch latency histogram;
-/// validate the curve against `nm_analysis::throughput_at` to close the
-/// loop with the analytic model.
-pub fn measure_update_curve<R, F>(
-    handle: &ClassifierHandle<R>,
-    trace: &TraceBuf,
-    cfg: &UpdateBenchConfig,
-    make_batch: F,
-) -> UpdateCurve
-where
-    R: BatchUpdatable + Clone + Send + Sync + 'static,
-    F: FnMut(u64) -> UpdateBatch + Send,
-{
-    use std::time::Instant;
-    let n = trace.len();
-    if n == 0 || cfg.duration_s <= 0.0 {
-        return UpdateCurve::default();
+    fn pin(&self) -> Arc<P> {
+        self.snapshot()
     }
-    let stride = trace.stride();
-    let raw = trace.raw();
-    let batch = cfg.batch.max(1);
-    let stop = AtomicBool::new(false);
-    let start = Instant::now();
-    let mut curve = Vec::new();
-    let mut batch_latency = nm_common::LatencyHistogram::new();
-    let mut make_batch = make_batch;
 
-    crossbeam::thread::scope(|scope| {
-        // Updater: paced transactions + periodic background retrains, all
-        // through the shared pacer. The spawned-retrain joins are drained
-        // before the thread exits so the caller reads settled stats.
-        scope.spawn(|_| {
-            let mut pacer =
-                UpdatePacer::new(cfg.updates_per_s, cfg.ops_per_batch, cfg.retrain_period_s);
-            let mut joins = Vec::new();
-            while !stop.load(SeqCst) {
-                pacer.tick(handle, &mut joins, &mut make_batch);
-            }
-            UpdatePacer::drain(joins);
-        });
+    fn shards(&self) -> usize {
+        self.shared.plan.as_ref().map_or(1, |plan| plan.shards())
+    }
 
-        // Reader: the measured data plane. One snapshot pin per batch.
-        let mut out: Vec<Option<MatchResult>> = vec![None; batch];
-        let mut lo = 0usize;
-        let mut window_packets = 0u64;
-        let mut window_start = start;
-        loop {
-            let elapsed = start.elapsed().as_secs_f64();
-            if elapsed >= cfg.duration_s {
-                break;
-            }
-            let hi = (lo + batch).min(n);
-            let t0 = Instant::now();
-            handle.classify_batch(&raw[lo * stride..hi * stride], stride, &mut out[..hi - lo]);
-            batch_latency.record_duration(t0.elapsed());
-            window_packets += (hi - lo) as u64;
-            lo = if hi == n { 0 } else { hi };
-            let window_s = window_start.elapsed().as_secs_f64();
-            if window_s >= cfg.sample_every_s {
-                let snap = handle.snapshot();
-                curve.push(UpdateCurvePoint {
-                    t_s: start.elapsed().as_secs_f64(),
-                    pps: window_packets as f64 / window_s,
-                    generation: snap.generation(),
-                    remainder_fraction: snap.engine().remainder_fraction(),
-                    retrains: handle.retrains_completed(),
-                });
-                window_packets = 0;
-                window_start = Instant::now();
-            }
-        }
-        stop.store(true, SeqCst);
-    })
-    .expect("update-bench worker panicked");
-    // Every retrain the pacer spawned was joined inside the scope, so the
-    // stats are settled the moment this returns.
-    UpdateCurve { points: curve, batch_latency }
+    fn steer(&self, key: &[u64], batch: usize) -> usize {
+        self.shared.plan.as_ref().map_or(0, |plan| plan.steer(key, batch))
+    }
 }
 
 #[cfg(test)]
@@ -1107,44 +851,5 @@ mod tests {
         assert!(ra.is_ok() || rb.is_ok());
         assert!(h.retrains_completed() >= 1);
         assert!(!h.retrain_in_progress());
-    }
-
-    #[test]
-    fn measure_update_curve_samples_under_load() {
-        let h = handle(200);
-        let mut trace = TraceBuf::new(5);
-        let mut s = nm_common::SplitMix64::new(7);
-        for _ in 0..4_000 {
-            trace.push(&[0, 0, 0, s.below(20_000), 0]);
-        }
-        let cfg = UpdateBenchConfig {
-            duration_s: 0.6,
-            sample_every_s: 0.1,
-            updates_per_s: 2_000.0,
-            ops_per_batch: 16,
-            retrain_period_s: 0.2,
-            batch: 128,
-        };
-        let mut next_port = 30_000u16;
-        let curve = measure_update_curve(&h, &trace, &cfg, |seq| {
-            let mut b = UpdateBatch::new();
-            for k in 0..16u64 {
-                next_port = next_port.wrapping_add(1).max(30_000);
-                let id = (seq * 16 + k) as u32 % 200;
-                b = b.modify(FiveTuple::new().dst_port_exact(next_port).into_rule(id, id));
-            }
-            b
-        });
-        let points = &curve.points;
-        assert!(points.len() >= 3, "expected several samples, got {}", points.len());
-        assert!(points.iter().all(|p| p.pps > 0.0));
-        let last = points.last().unwrap();
-        assert!(last.generation > 1, "updates must have published generations");
-        // The set drifts under modify load...
-        assert!(points.iter().any(|p| p.remainder_fraction > 0.0));
-        assert!(!h.retrain_in_progress(), "no retrain left dangling");
-        // One latency sample per classify_batch call, with sane tails.
-        assert!(curve.batch_latency.count() > 0);
-        assert!(curve.batch_latency.percentile(0.99) >= curve.batch_latency.percentile(0.50));
     }
 }

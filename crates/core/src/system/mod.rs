@@ -20,7 +20,7 @@ pub mod update;
 
 pub use breakdown::{measure_breakdown, LookupBreakdown};
 pub use flow_cache::{CacheStats, FlowCache};
-pub use handle::{ClassifierHandle, NmSnapshot};
+pub use handle::{ClassifierHandle, Handle, NmSnapshot, Published};
 pub use parallel::run_batched;
 pub use retrain::PartialRetrainReport;
 pub use runtime::{

@@ -1,29 +1,31 @@
-//! Model-checker ports of the system's lock-free publication protocols.
+//! Model-checker port of the system's lock-free publication protocol.
 //!
-//! Compiled only with `--cfg nm_model`. The structures here are skeletons
-//! of [`super::handle::ClassifierHandle`]'s pin/generation/publish protocol
-//! and [`super::runtime::ShardEpoch`]'s cross-shard publication, with the
-//! classifier payloads reduced to integers: the *synchronization* is the
-//! code under test, and it runs on the exact same [`arc_swap::ArcSwap`]
-//! left-right cell the real structures use (which under `nm_model` is built
-//! on the model's virtual atomics). The `#[cfg(test)]` half then explores
-//! every bounded interleaving of ≥2 readers against 1 writer and asserts
-//! the invariants the real system relies on:
+//! Compiled only with `--cfg nm_model`. The structures here are a skeleton
+//! of [`super::handle::Handle`]'s pin/generation/publish protocol, with
+//! the published value reduced to integers: one stamped payload stands in
+//! for a whole-set snapshot, a two-shard vector of stamped payloads for a
+//! [`super::runtime::ShardEpoch`] — the real handle publishes either one
+//! the same way, with one store. The *synchronization* is the code under
+//! test, and it runs on the exact same [`arc_swap::ArcSwap`] left-right
+//! cell the real structures use (which under `nm_model` is built on the
+//! model's virtual atomics). The `#[cfg(test)]` half then explores every
+//! bounded interleaving of ≥2 readers against 1 writer and asserts the
+//! invariants the real system relies on:
 //!
 //! * **generation monotonicity** — per reader, `generation()` never goes
 //!   backwards;
 //! * **pin/report coherence** — `generation()` leads, never trails: a pin
 //!   taken *after* a generation read reports at least that generation, and
 //!   a generation read *after* a pin reports at least the pinned stamp;
-//! * **no torn epoch** — a pinned [`ModelShardEpoch`] always carries every
+//! * **no torn epoch** — a pinned two-shard payload always carries every
 //!   shard at the same per-shard generation (one coherent publication);
 //! * **reclamation safety** — a pinned snapshot's payload stays intact
 //!   while later publishes recycle both left-right slots under it.
 //!
-//! The protocol skeletons mirror the real publish paths line for line:
-//! stamp-inside-snapshot, generation derived from the live snapshot (not a
-//! separate mirror), writer serialised by a control mutex, epoch republished
-//! only after every shard handle published.
+//! The protocol skeleton mirrors the real publish path line for line:
+//! stamp inside the published value, generation derived from the live
+//! value (not a separate mirror), writer serialised by a control mutex,
+//! copy-on-write from the live value.
 
 use std::sync::Arc;
 
@@ -33,135 +35,117 @@ use nm_model::sync::Mutex;
 /// Generation stamp (mirrors `Generation` in the real system).
 pub type Gen = u64;
 
-/// Snapshot skeleton: the stamp plus a payload standing in for the models.
-pub struct ModelSnapshot {
+/// Published-value skeleton: the stamp plus a payload standing in for the
+/// models (one engine's, or every shard's).
+pub struct ModelSnapshot<P = u64> {
     generation: Gen,
-    payload: u64,
+    payload: P,
 }
 
-impl ModelSnapshot {
-    /// The stamp carried inside the snapshot (the real design's invariant:
+impl<P> ModelSnapshot<P> {
+    /// The stamp carried inside the value (the real design's invariant:
     /// one atomic store publishes stamp and payload together).
     pub fn generation(&self) -> Gen {
         self.generation
     }
+}
 
+impl ModelSnapshot {
     /// The stand-in for the classifier state.
     pub fn payload(&self) -> u64 {
         self.payload
     }
 }
 
-/// Skeleton of `ClassifierHandle`: a left-right cell of stamped snapshots
-/// plus the writer-serialising control mutex.
-pub struct ModelHandle {
-    live: ArcSwap<ModelSnapshot>,
+/// A sharded payload: every shard's stamped state, published together
+/// (mirrors `ShardEpoch` over per-shard engines).
+pub type ModelShards = Vec<ModelSnapshot>;
+
+impl ModelSnapshot<ModelShards> {
+    /// The pinned per-shard generations — coherence tests assert one epoch
+    /// always reports an all-equal vector (mirrors
+    /// `ShardEpoch::home_generations`).
+    pub fn shard_generations(&self) -> Vec<Gen> {
+        self.payload.iter().map(ModelSnapshot::generation).collect()
+    }
+
+    /// Sum of the pinned payloads (a stand-in for classification against
+    /// the epoch: it must read every shard's pinned state).
+    pub fn payload_sum(&self) -> u64 {
+        self.payload.iter().map(ModelSnapshot::payload).sum()
+    }
+}
+
+/// Skeleton of `Handle`: a left-right cell of stamped values plus the
+/// writer-serialising control mutex.
+pub struct ModelHandle<P = u64> {
+    live: ArcSwap<ModelSnapshot<P>>,
     ctl: Mutex<()>,
 }
 
-impl ModelHandle {
-    /// New handle at generation 1 holding `payload`.
-    pub fn new(payload: u64) -> Self {
+impl<P> ModelHandle<P> {
+    fn with_payload(payload: P) -> Self {
         Self {
             live: ArcSwap::new(Arc::new(ModelSnapshot { generation: 1, payload })),
             ctl: Mutex::new(()),
         }
     }
 
-    /// Pins the current snapshot (mirrors `ClassifierHandle::snapshot`).
-    pub fn snapshot(&self) -> Arc<ModelSnapshot> {
+    /// Pins the current value (mirrors `Handle::snapshot`).
+    pub fn snapshot(&self) -> Arc<ModelSnapshot<P>> {
         self.live.load_full()
     }
 
-    /// The published generation, derived from the live snapshot itself
-    /// (mirrors `ClassifierHandle::generation` — no separate mirror atomic
-    /// that could under-report).
+    /// The published generation, derived from the live value itself
+    /// (mirrors `Handle::generation` — no separate mirror atomic that could
+    /// under-report).
     pub fn generation(&self) -> Gen {
         self.live.load().generation()
     }
 
-    /// Publishes `payload` as the next generation under the writer lock
-    /// (mirrors `ClassifierHandle::publish`). Returns the new stamp.
-    pub fn publish(&self, payload: u64) -> Gen {
+    /// Publishes `next(live payload, next stamp)` as the next generation
+    /// under the writer lock (mirrors `Handle::apply`: copy on write from
+    /// the live value, one store). Returns the new stamp.
+    fn publish_with(&self, next: impl FnOnce(&P, Gen) -> P) -> Gen {
         let _guard = self.ctl.lock();
-        let generation = self.live.load().generation() + 1;
+        let live = self.live.load();
+        let generation = live.generation() + 1;
+        let payload = next(&live.payload, generation);
         self.live.store(Arc::new(ModelSnapshot { generation, payload }));
         generation
     }
 }
 
-/// Epoch skeleton: one coherent cross-shard publication (mirrors
-/// `ShardEpoch` — a logical stamp plus every shard's snapshot pinned
-/// together).
-pub struct ModelShardEpoch {
-    generation: Gen,
-    shards: Vec<Arc<ModelSnapshot>>,
-}
-
-impl ModelShardEpoch {
-    /// The logical generation of this publication.
-    pub fn generation(&self) -> Gen {
-        self.generation
+impl ModelHandle {
+    /// New handle at generation 1 holding `payload`.
+    pub fn new(payload: u64) -> Self {
+        Self::with_payload(payload)
     }
 
-    /// The pinned per-shard generations — coherence tests assert one epoch
-    /// always reports an all-equal vector (mirrors
-    /// `ShardEpoch::home_generations`).
-    pub fn shard_generations(&self) -> Vec<Gen> {
-        self.shards.iter().map(|s| s.generation()).collect()
-    }
-
-    /// Sum of the pinned payloads (a stand-in for classification against
-    /// the epoch: it must read every shard's pinned state).
-    pub fn payload_sum(&self) -> u64 {
-        self.shards.iter().map(|s| s.payload()).sum()
+    /// Publishes `payload` as the next generation. Returns the new stamp.
+    pub fn publish(&self, payload: u64) -> Gen {
+        self.publish_with(|_, _| payload)
     }
 }
 
-/// Skeleton of `ShardedHandle`: per-shard [`ModelHandle`] replicas under a
-/// left-right epoch cell, writers serialised by one control mutex.
-pub struct ModelShardedHandle {
-    home: Vec<ModelHandle>,
-    epoch: ArcSwap<ModelShardEpoch>,
-    ctl: Mutex<()>,
-}
-
-impl ModelShardedHandle {
-    /// `shards` handles, all at generation 1, epoch at logical generation 1.
-    pub fn new(shards: usize, payload: u64) -> Self {
-        let home: Vec<ModelHandle> = (0..shards).map(|_| ModelHandle::new(payload)).collect();
-        let epoch = ModelShardEpoch {
-            generation: 1,
-            shards: home.iter().map(ModelHandle::snapshot).collect(),
-        };
-        Self { home, epoch: ArcSwap::new(Arc::new(epoch)), ctl: Mutex::new(()) }
+impl ModelHandle<ModelShards> {
+    /// `shards` shards holding `payload`, all at generation 1 (mirrors
+    /// `ShardedHandle::new`).
+    pub fn sharded(shards: usize, payload: u64) -> Self {
+        Self::with_payload((0..shards).map(|_| ModelSnapshot { generation: 1, payload }).collect())
     }
 
     /// Pins the current epoch (mirrors `ShardedHandle::epoch`).
-    pub fn epoch(&self) -> Arc<ModelShardEpoch> {
-        self.epoch.load_full()
+    pub fn epoch(&self) -> Arc<ModelSnapshot<ModelShards>> {
+        self.snapshot()
     }
 
-    /// The published logical generation.
-    pub fn generation(&self) -> Gen {
-        self.epoch.load().generation()
-    }
-
-    /// Fans `payload` out to every shard handle, then republishes the epoch
-    /// — the real `apply`/`retrain` ordering: every shard publishes first,
-    /// the epoch re-pins after, so a coherent vector is the only thing a
-    /// reader can ever pin.
+    /// Writes `payload` to every shard and publishes the shards together as
+    /// the next generation — one store, like every real publish.
     pub fn apply_all(&self, payload: u64) -> Gen {
-        let _guard = self.ctl.lock();
-        for h in &self.home {
-            h.publish(payload);
-        }
-        let generation = self.epoch.load().generation() + 1;
-        self.epoch.store(Arc::new(ModelShardEpoch {
-            generation,
-            shards: self.home.iter().map(ModelHandle::snapshot).collect(),
-        }));
-        generation
+        self.publish_with(|shards, generation| {
+            shards.iter().map(|_| ModelSnapshot { generation, payload }).collect()
+        })
     }
 }
 
@@ -229,7 +213,7 @@ mod tests {
     #[test]
     fn model_shard_epoch_is_never_torn() {
         nm_model::check("sharded epoch publish", || {
-            let h = Arc::new(ModelShardedHandle::new(2, 10));
+            let h = Arc::new(ModelHandle::sharded(2, 10));
             let mut readers = Vec::new();
             for _ in 0..2 {
                 let h = Arc::clone(&h);

@@ -52,7 +52,7 @@ use nm_common::update::Generation;
 use nm_common::Error;
 
 use super::flow_cache::{CacheStats, FlowCache};
-use super::handle::{ClassifierHandle, NmSnapshot};
+use super::handle::NmSnapshot;
 use super::serve::plane::{PinnedPlane, ServePlane};
 
 /// Default classification batch (the paper's §5.1 batch of 128).
@@ -169,15 +169,15 @@ pub(crate) fn fold_checksum(checksum: &mut u64, m: Option<MatchResult>) {
 /// NuevoMatch's two-worker split as a plan: shard 0 runs the iSet RQ-RMIs,
 /// shard 1 the remainder classifier, every batch mirrored to both and
 /// merged by priority — the paper's §4 parallelization, expressed in the
-/// same runtime as the sharded modes.
-pub struct SplitPlan<R: Classifier> {
-    handle: ClassifierHandle<R>,
-}
+/// same runtime as the sharded modes. Wraps any plane that pins NuevoMatch
+/// snapshots: a live [`ClassifierHandle`](crate::ClassifierHandle) or one
+/// fixed `Arc<NmSnapshot>`.
+pub struct SplitPlan<S>(S);
 
-impl<R: Classifier> SplitPlan<R> {
-    /// Plans the iSet/remainder split over a live handle.
-    pub fn new(handle: ClassifierHandle<R>) -> Self {
-        Self { handle }
+impl<S> SplitPlan<S> {
+    /// Plans the iSet/remainder split over `plane`.
+    pub fn new(plane: S) -> Self {
+        Self(plane)
     }
 }
 
@@ -214,11 +214,15 @@ impl<R: Classifier> PinnedPlane for SplitPin<R> {
     }
 }
 
-impl<R: Classifier + 'static> ServePlane for SplitPlan<R> {
+impl<R, S> ServePlane for SplitPlan<S>
+where
+    R: Classifier + 'static,
+    S: ServePlane<Pin = Arc<NmSnapshot<R>>>,
+{
     type Pin = SplitPin<R>;
 
     fn pin(&self) -> Self::Pin {
-        SplitPin(self.handle.snapshot())
+        SplitPin(self.0.pin())
     }
 
     fn shards(&self) -> usize {
@@ -354,12 +358,12 @@ impl Runtime {
 
     /// Runs the two-worker iSet/remainder split (legacy `run_two_workers`)
     /// as a [`SplitPlan`].
-    pub fn run_split<R: Classifier + 'static>(
-        &self,
-        handle: &ClassifierHandle<R>,
-        trace: &TraceBuf,
-    ) -> Result<RunStats, Error> {
-        self.run(&SplitPlan::new(handle.clone()), trace)
+    pub fn run_split<R, S>(&self, plane: &S, trace: &TraceBuf) -> Result<RunStats, Error>
+    where
+        R: Classifier + 'static,
+        S: ServePlane<Pin = Arc<NmSnapshot<R>>> + Clone,
+    {
+        self.run(&SplitPlan::new(plane.clone()), trace)
     }
 
     /// Runs `workers` whole-set replicas of one shared engine (the §5.1
@@ -659,6 +663,7 @@ fn worker_loop<P: PinnedPlane + Clone + Sync>(
 mod tests {
     use super::*;
     use crate::config::{NuevoMatchConfig, RqRmiParams};
+    use crate::system::handle::ClassifierHandle;
     use crate::system::parallel::run_sequential;
     use nm_common::shard::{ShardPlanConfig, ShardStrategy};
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet};

@@ -1,4 +1,4 @@
-//! Sharded data planes: per-shard engine replicas behind one steering stage.
+//! Sharded data planes: per-shard engines behind one steering stage.
 //!
 //! Both flavours serve through one [`ShardEpoch`] — the steering plan plus
 //! every shard's engine, frozen together under one logical generation:
@@ -7,31 +7,29 @@
 //!   the plan's subsets. Any [`Classifier`] works (TupleMerge, CutSplit,
 //!   NeuroCuts, NuevoMatch, boxed engines); this is the form `nmctl bench
 //!   --shards` and the checksum-equivalence tests use.
-//! * [`ShardedHandle`] — per-shard [`ClassifierHandle`] replicas for the
-//!   full control-plane lifecycle. `UpdateBatch` applies **fan out**: each
-//!   op routes to the shard the plan steers its rule to (moving shards when
-//!   a modify changes the steering field), and the post-apply snapshots of
-//!   every shard publish together as one epoch under one logical
+//! * [`ShardedHandle`] — the live [`Handle`] publishing epochs of plain
+//!   [`NuevoMatch`] engines, with the same apply/retrain/publish core as the
+//!   whole-set [`ClassifierHandle`](crate::ClassifierHandle). `UpdateBatch`
+//!   applies **route** each op to the shard the plan steers its rule to
+//!   (moving shards when a modify changes the steering field), clone only
+//!   the shards they touch, and publish one epoch under one logical
 //!   generation. Readers pin the epoch with two atomic ops; a pinned epoch
 //!   is immutable, so **no batch can ever mix generations across shards** —
 //!   the coherence the runtime's checksum equivalence rests on. Retrains
-//!   fan the same way: every shard retrains (concurrently), then one epoch
-//!   publishes the fresh models together.
+//!   train every shard concurrently and publish the fresh engines together.
 //!
 //! Both implement [`Classifier`] (steer → per-shard lookup → priority
 //! merge), so they drop into every existing harness, and both implement
 //! [`ServePlane`] over an `Arc<ShardEpoch>` pin, so the serve front-end and
 //! [`Runtime::run`](super::Runtime::run) drive them like any other plane.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
-use parking_lot::Mutex;
-
 use nm_common::classifier::{Classifier, MatchResult};
-use nm_common::rule::{Priority, RuleId};
-use nm_common::ruleset::RuleSet;
+use nm_common::rule::{Priority, Rule};
+use nm_common::ruleset::{FieldsSpec, RuleSet};
 use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute, ShardStrategy};
 use nm_common::update::{
     BatchUpdatable, EngineBuilder, Generation, UpdateBatch, UpdateOp, UpdateReport,
@@ -39,8 +37,9 @@ use nm_common::update::{
 use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
-use crate::system::handle::{ClassifierHandle, NmSnapshot};
+use crate::system::handle::{fold, Handle, Lifecycle, Recipe, Truth};
 use crate::system::serve::plane::{PinnedPlane, ServePlane};
+use crate::system::NuevoMatch;
 
 /// Scatters `sub`'s verdicts (computed for the gathered keys at `idx`) back
 /// into `out`, merging by priority.
@@ -99,6 +98,7 @@ fn merge_broadcast<B: Classifier + ?Sized>(
 /// The epoch owns the whole steered lookup (steer, gather per home shard,
 /// sweep, broadcast merge, floors) through its [`Classifier`] impl, and the
 /// runtime's per-shard sweep through [`PinnedPlane::classify_shard`].
+#[derive(Clone)]
 pub struct ShardEpoch<E> {
     plan: Arc<ShardPlan>,
     generation: Generation,
@@ -108,7 +108,7 @@ pub struct ShardEpoch<E> {
 }
 
 impl<E: Classifier> ShardEpoch<E> {
-    /// The logical generation (bumps once per fan-out apply or retrain).
+    /// The logical generation (bumps once per effective apply or retrain).
     pub fn generation(&self) -> Generation {
         self.generation
     }
@@ -338,62 +338,190 @@ impl<C: Classifier + 'static> ServePlane for ShardedClassifier<C> {
 }
 
 // ---------------------------------------------------------------------------
-// Handle-backed shards (live control plane)
+// The live sharded handle
 // ---------------------------------------------------------------------------
 
-struct ShardedCtl {
-    /// id → slot (home shard index, or `home.len()` for broadcast). The
-    /// routing truth for update fan-out; empty for replicated plans, where
-    /// every op fans to every shard.
-    routes: HashMap<RuleId, usize>,
-}
-
-struct SharedSharded<R: Classifier> {
-    plan: Arc<ShardPlan>,
-    home: Vec<ClassifierHandle<R>>,
-    broadcast: ClassifierHandle<R>,
-    epoch: ArcSwap<ShardEpoch<NmSnapshot<R>>>,
-    ctl: Mutex<ShardedCtl>,
-}
-
-/// Pins every shard handle's current snapshot as one epoch stamped
-/// `generation`. The broadcast snapshot is always kept (possibly empty) so
-/// later updates can route wildcard rules to it.
-fn snapshot_epoch<R: Classifier>(
-    plan: &Arc<ShardPlan>,
-    home: &[ClassifierHandle<R>],
-    broadcast: &ClassifierHandle<R>,
-    generation: Generation,
-) -> ShardEpoch<NmSnapshot<R>> {
-    ShardEpoch {
-        plan: plan.clone(),
-        generation,
-        home: home.iter().map(ClassifierHandle::snapshot).collect(),
-        broadcast: Some(broadcast.snapshot()),
-    }
-}
-
-/// Per-shard [`ClassifierHandle`] replicas under one logical generation —
+/// The [`Handle`] over [`ShardEpoch`]s of per-shard NuevoMatch engines —
 /// the sharded runtime's live control plane. Clone freely; clones address
 /// the same shards.
 ///
-/// Writers (apply / retrain) serialise on an internal lock and publish a
-/// fresh [`ShardEpoch`] per effective change; readers pin epochs lock-free
-/// and are never blocked by either.
-pub struct ShardedHandle<R: Classifier> {
-    shared: Arc<SharedSharded<R>>,
-}
+/// An applied batch routes each op to the slot the plan steers its rule to
+/// (a modify whose new box steers elsewhere **moves**: a remove lands on
+/// the old slot and an insert on the new one), clones only the shards it
+/// touches and publishes one new epoch. Retrains train every shard
+/// concurrently and publish the fresh engines as one epoch. Readers pin
+/// epochs lock-free and are never blocked by either.
+pub type ShardedHandle<R> = Handle<ShardEpoch<NuevoMatch<R>>>;
 
-impl<R: Classifier> Clone for ShardedHandle<R> {
-    fn clone(&self) -> Self {
-        Self { shared: self.shared.clone() }
+/// The slots `rule` lives in: its home shard, every home shard of a
+/// replicated plan, or the broadcast slot (`plan.shards()`).
+fn slots(plan: &ShardPlan, rule: &Rule) -> Range<usize> {
+    let broadcast = plan.shards();
+    match plan.route_rule(rule) {
+        ShardRoute::Home(s) => s..s + 1,
+        ShardRoute::All => 0..broadcast,
+        ShardRoute::Broadcast => broadcast..broadcast + 1,
     }
 }
 
-impl<R: Classifier> ShardedHandle<R> {
-    /// Builds the plan over `set` and one [`ClassifierHandle`] per subset
-    /// (the broadcast handle is always built, possibly empty, so later
-    /// updates can route wildcard rules to it).
+/// Runs `f` over every item on its own scoped thread and collects the
+/// results in order; any error (or panic) fails the whole map.
+fn par_map<T: Sync, U: Send>(
+    items: &[T],
+    f: impl Fn(&T) -> Result<U, Error> + Sync,
+) -> Result<Vec<U>, Error> {
+    let f = &f;
+    let results: Vec<Result<U, Error>> = std::thread::scope(|scope| {
+        let joins: Vec<_> = items.iter().map(|item| scope.spawn(move || f(item))).collect();
+        joins
+            .into_iter()
+            .map(|join| {
+                join.join().unwrap_or_else(|_| {
+                    Err(Error::Build { msg: "sharded build: a shard thread panicked".to_string() })
+                })
+            })
+            .collect()
+    });
+    results.into_iter().collect()
+}
+
+impl<R: BatchUpdatable + Clone + Send + Sync + 'static> ShardEpoch<NuevoMatch<R>> {
+    /// Partitions `rules` over `plan`'s slots, builds every shard's engine
+    /// concurrently and assembles the epoch (the broadcast engine is always
+    /// built, possibly empty, so later updates can route wildcard rules to
+    /// it).
+    fn build(
+        plan: Arc<ShardPlan>,
+        spec: &FieldsSpec,
+        rules: &[Rule],
+        recipe: &Recipe<R>,
+        generation: Generation,
+    ) -> Result<Self, Error> {
+        let mut parts = vec![Vec::new(); plan.shards() + 1];
+        for rule in rules {
+            for part in &mut parts[slots(&plan, rule)] {
+                part.push(rule.clone());
+            }
+        }
+        let sets = parts
+            .into_iter()
+            .map(|p| RuleSet::new(spec.clone(), p))
+            .collect::<Result<Vec<_>, _>>()?;
+        let engines =
+            par_map(&sets, |set| NuevoMatch::build(set, &recipe.cfg, recipe.builder.clone()))?;
+        Ok(Self::assemble(plan, engines, generation))
+    }
+
+    /// An epoch over `engines` (home shards, then broadcast).
+    fn assemble(
+        plan: Arc<ShardPlan>,
+        mut engines: Vec<NuevoMatch<R>>,
+        generation: Generation,
+    ) -> Self {
+        let broadcast = engines.pop().map(Arc::new);
+        let home = engines.into_iter().map(Arc::new).collect();
+        Self { plan, generation, home, broadcast }
+    }
+}
+
+impl<R: BatchUpdatable + Clone + Send + Sync + 'static> Lifecycle for ShardEpoch<NuevoMatch<R>> {
+    type Remainder = R;
+    /// A sub-batch per slot (home shards, then broadcast) plus the
+    /// accounting routing derived from the rule truth.
+    type Routed = (Vec<UpdateBatch>, UpdateReport);
+
+    /// Routes each op from the truth as the op found it: the old version's
+    /// slots come from the truth map, the new version's from the plan.
+    fn route<'b>(
+        &self,
+        batch: &'b UpdateBatch,
+        truth: &mut Option<Truth>,
+    ) -> Cow<'b, Self::Routed> {
+        let truth = truth.get_or_insert_with(Truth::new);
+        let mut per = vec![UpdateBatch::new(); self.home.len() + 1];
+        let mut report = UpdateReport::default();
+        for op in batch.ops() {
+            let old = fold(truth, op).map(|old| slots(&self.plan, &old));
+            match op {
+                UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
+                    let new = slots(&self.plan, r);
+                    if old.as_ref() == Some(&new) {
+                        new.for_each(|s| per[s].push(op.clone()));
+                    } else {
+                        // The rule moved (or is new): delete the old version
+                        // where it lives, insert the new one where steering
+                        // will look for it.
+                        old.clone()
+                            .unwrap_or_default()
+                            .for_each(|s| per[s].push(UpdateOp::Remove(r.id)));
+                        new.for_each(|s| per[s].push(UpdateOp::Insert(r.clone())));
+                    }
+                    // Semantic accounting from the truth, not the per-shard
+                    // engine reports (a move shows up down there as one
+                    // removal plus one fresh insert).
+                    report.inserted += 1;
+                    match (old.is_some(), op) {
+                        (true, _) => report.replaced += 1,
+                        (false, UpdateOp::Modify(_)) => report.missing += 1,
+                        (false, _) => {}
+                    }
+                }
+                UpdateOp::Remove(id) => match old {
+                    Some(old) => {
+                        old.for_each(|s| per[s].push(UpdateOp::Remove(*id)));
+                        report.removed += 1;
+                    }
+                    None => report.missing += 1,
+                },
+            }
+        }
+        Cow::Owned((per, report))
+    }
+
+    fn apply(mut self, batches: &[Self::Routed], generation: Generation) -> (Self, UpdateReport) {
+        let mut report = UpdateReport::default();
+        for (per, routed) in batches {
+            let engines = self.home.iter_mut().chain(&mut self.broadcast);
+            for (engine, sub) in engines.zip(per) {
+                if !sub.is_empty() {
+                    Arc::make_mut(engine).apply(sub);
+                }
+            }
+            report.absorb(*routed);
+        }
+        self.generation = generation;
+        (self, report)
+    }
+
+    /// Patches every shard concurrently; a shard whose partial-retrain
+    /// gates refuse is rebuilt in full from its own live rules.
+    fn retrain_partial(&self, recipe: &Recipe<R>) -> Result<Self, Error> {
+        let engines: Vec<&Arc<NuevoMatch<R>>> = self.home.iter().chain(&self.broadcast).collect();
+        let fresh = par_map(&engines, |nm| match nm.partial_retrain(&recipe.cfg) {
+            Ok((patched, _report)) => Ok(patched),
+            Err(_) => {
+                let mut rules = nm.live_rules();
+                rules.sort_by_key(|r| (r.priority, r.id));
+                let set = RuleSet::new(nm.spec().clone(), rules)?;
+                NuevoMatch::build(&set, &recipe.cfg, recipe.builder.clone())
+            }
+        })?;
+        Ok(Self::assemble(self.plan.clone(), fresh, self.generation))
+    }
+
+    fn rebuild(&self, rules: Vec<Rule>, recipe: &Recipe<R>) -> Result<Self, Error> {
+        let spec = self.home[0].spec();
+        Self::build(self.plan.clone(), spec, &rules, recipe, self.generation)
+    }
+
+    fn plan(&self) -> Option<&Arc<ShardPlan>> {
+        Some(&self.plan)
+    }
+}
+
+impl<R: BatchUpdatable + Clone + Send + Sync + 'static> ShardedHandle<R> {
+    /// Builds the plan over `set` and one NuevoMatch engine per slot (the
+    /// broadcast engine always, possibly empty).
     pub fn new<B>(
         set: &RuleSet,
         cfg: &NuevoMatchConfig,
@@ -402,63 +530,22 @@ impl<R: Classifier> ShardedHandle<R> {
     ) -> Result<Self, Error>
     where
         B: EngineBuilder<Engine = R> + 'static,
-        R: 'static,
     {
         let plan = Arc::new(ShardPlan::build(set, plan_cfg)?);
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        let (home_sets, broadcast_set) = plan.subsets(set);
-        let home: Vec<ClassifierHandle<R>> = home_sets
-            .iter()
-            .map(|s| ClassifierHandle::new(s, cfg, builder.clone()))
-            .collect::<Result<_, _>>()?;
-        let broadcast = ClassifierHandle::new(&broadcast_set, cfg, builder.clone())?;
-        let mut routes = HashMap::new();
-        if plan.strategy() != ShardStrategy::RoundRobin {
-            for rule in set.rules() {
-                let slot = match plan.route_rule(rule) {
-                    ShardRoute::Home(s) => s,
-                    // Keyed plans never route `All`; if one ever does, the
-                    // broadcast slot is the safe home — every shard consults
-                    // it, so the rule still matches everywhere.
-                    ShardRoute::Broadcast | ShardRoute::All => home.len(),
-                };
-                routes.insert(rule.id, slot);
-            }
-        }
-        let epoch = snapshot_epoch(&plan, &home, &broadcast, 1);
-        Ok(Self {
-            shared: Arc::new(SharedSharded {
-                plan,
-                home,
-                broadcast,
-                epoch: ArcSwap::new(Arc::new(epoch)),
-                ctl: Mutex::new(ShardedCtl { routes }),
-            }),
-        })
+        let recipe = Recipe { cfg: cfg.clone(), builder: Arc::new(builder) };
+        let epoch = ShardEpoch::build(plan, set.spec(), set.rules(), &recipe, 1)?;
+        let rules = set.rules().iter().map(|r| (r.id, r.clone())).collect();
+        Ok(Self::assemble(epoch, Some(recipe), Some(rules)))
     }
 
     /// The partition this handle steers by.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.shared.plan
+    pub fn plan(&self) -> Arc<ShardPlan> {
+        self.snapshot().plan.clone()
     }
 
     /// Pins the current epoch (two atomic ops, never blocks).
-    pub fn epoch(&self) -> Arc<ShardEpoch<NmSnapshot<R>>> {
-        self.shared.epoch.load_full()
-    }
-
-    /// The published logical generation.
-    pub fn generation(&self) -> Generation {
-        self.shared.epoch.load().generation()
-    }
-
-    /// Publishes the current per-shard snapshots as the next logical
-    /// generation. Callers must hold the ctl lock (single-writer).
-    fn publish_epoch(&self) -> Generation {
-        let sh = &*self.shared;
-        let generation = self.generation() + 1;
-        sh.epoch.store(Arc::new(snapshot_epoch(&sh.plan, &sh.home, &sh.broadcast, generation)));
-        generation
+    pub fn epoch(&self) -> Arc<ShardEpoch<NuevoMatch<R>>> {
+        self.snapshot()
     }
 
     /// Rule-weighted §3.9 remainder fraction across the shards — the drift
@@ -468,10 +555,10 @@ impl<R: Classifier> ShardedHandle<R> {
         let epoch = self.epoch();
         let mut rules = 0usize;
         let mut weighted = 0.0f64;
-        for snap in epoch.home.iter().chain(&epoch.broadcast) {
-            let n = snap.num_rules();
+        for nm in epoch.home.iter().chain(&epoch.broadcast) {
+            let n = nm.num_rules();
             rules += n;
-            weighted += snap.engine().remainder_fraction() * n as f64;
+            weighted += nm.remainder_fraction() * n as f64;
         }
         if rules == 0 {
             0.0
@@ -479,186 +566,13 @@ impl<R: Classifier> ShardedHandle<R> {
             weighted / rules as f64
         }
     }
-
-    fn handle_at(&self, slot: usize) -> &ClassifierHandle<R> {
-        if slot == self.shared.home.len() {
-            &self.shared.broadcast
-        } else {
-            &self.shared.home[slot]
-        }
-    }
-}
-
-impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
-    /// Applies one transaction across the shards and publishes the result
-    /// as one new epoch.
-    ///
-    /// Each op routes to the shard the plan steers its rule to; a modify
-    /// whose new box steers elsewhere **moves** — a remove lands on the old
-    /// shard and an insert on the new one, inside the same fan-out, so the
-    /// placement invariant survives churn. Readers observe the whole batch
-    /// or none of it: shard snapshots change only at the epoch swap.
-    pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
-        if batch.is_empty() {
-            return UpdateReport::default();
-        }
-        let sh = &*self.shared;
-        let mut ctl = sh.ctl.lock();
-        if sh.plan.strategy() == ShardStrategy::RoundRobin {
-            // Whole-set replicas: every shard applies the whole batch; the
-            // reports are identical, so the first stands for all.
-            let mut report = UpdateReport::default();
-            for (i, h) in sh.home.iter().enumerate() {
-                let r = h.apply(batch);
-                if i == 0 {
-                    report = r;
-                }
-            }
-            if report.changed() {
-                self.publish_epoch();
-            }
-            return report;
-        }
-        let slots = sh.home.len() + 1; // broadcast last
-        let mut per: Vec<UpdateBatch> = (0..slots).map(|_| UpdateBatch::new()).collect();
-        let mut report = UpdateReport::default();
-        for op in batch.ops() {
-            match op {
-                UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
-                    let target = match sh.plan.route_rule(r) {
-                        ShardRoute::Home(s) => s,
-                        // As in `new`: an unexpected `All` routes to the
-                        // broadcast slot, which every shard consults.
-                        ShardRoute::Broadcast | ShardRoute::All => sh.home.len(),
-                    };
-                    let old = ctl.routes.insert(r.id, target);
-                    match old {
-                        Some(o) if o == target => per[target].push(op.clone()),
-                        Some(o) => {
-                            // The rule moved shards: delete the old version
-                            // where it lives, insert the new one where
-                            // steering will look for it.
-                            per[o].push(UpdateOp::Remove(r.id));
-                            per[target].push(UpdateOp::Insert(r.clone()));
-                        }
-                        None => per[target].push(UpdateOp::Insert(r.clone())),
-                    }
-                    // Semantic accounting from the routing truth, not the
-                    // per-shard engine reports (a move shows up down there
-                    // as one removal plus one fresh insert).
-                    report.inserted += 1;
-                    match (old.is_some(), op) {
-                        (true, _) => report.replaced += 1,
-                        (false, UpdateOp::Modify(_)) => report.missing += 1,
-                        (false, _) => {}
-                    }
-                }
-                UpdateOp::Remove(id) => match ctl.routes.remove(id) {
-                    Some(o) => {
-                        per[o].push(UpdateOp::Remove(*id));
-                        report.removed += 1;
-                    }
-                    None => report.missing += 1,
-                },
-            }
-        }
-        if report.changed() {
-            for (slot, sub) in per.iter().enumerate() {
-                if !sub.is_empty() {
-                    self.handle_at(slot).apply(sub);
-                }
-            }
-            self.publish_epoch();
-        }
-        report
-    }
-
-    /// Retrains every shard (concurrently — each shard's train is
-    /// independent) and publishes the fresh models together as one epoch.
-    /// Control-plane ops serialise behind this; readers never block.
-    pub fn retrain(&self) -> Result<Generation, Error> {
-        let sh = &*self.shared;
-        let _ctl = sh.ctl.lock();
-        let handles: Vec<&ClassifierHandle<R>> =
-            sh.home.iter().chain(std::iter::once(&sh.broadcast)).collect();
-        let mut first_err = None;
-        std::thread::scope(|scope| {
-            let joins: Vec<_> = handles.iter().map(|h| scope.spawn(move || h.retrain())).collect();
-            for join in joins {
-                match join.join() {
-                    Ok(Ok(_)) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        first_err.get_or_insert(Error::Build {
-                            msg: "ShardedHandle::retrain: a shard retrain panicked".to_string(),
-                        });
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(self.publish_epoch())
-    }
-}
-
-impl<R: Classifier> Classifier for ShardedHandle<R> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.epoch().classify(key)
-    }
-
-    /// One epoch pin per batch: every packet classifies against the same
-    /// logical generation on every shard.
-    fn batch_lookup(
-        &self,
-        keys: &[u64],
-        stride: usize,
-        floors: Option<&[Priority]>,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.epoch().batch_lookup(keys, stride, floors, out);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.epoch().memory_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded-nm"
-    }
-
-    fn num_rules(&self) -> usize {
-        self.epoch().num_rules()
-    }
-
-    fn generation(&self) -> Generation {
-        ShardedHandle::generation(self)
-    }
-}
-
-impl<R: Classifier + 'static> ServePlane for ShardedHandle<R> {
-    type Pin = Arc<ShardEpoch<NmSnapshot<R>>>;
-
-    fn pin(&self) -> Self::Pin {
-        self.epoch()
-    }
-
-    fn shards(&self) -> usize {
-        self.shared.plan.shards()
-    }
-
-    fn steer(&self, key: &[u64], batch: usize) -> usize {
-        self.shared.plan.steer(key, batch)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RqRmiParams;
+    use crate::system::handle::ClassifierHandle;
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch};
 
     fn port_set(n: u16) -> RuleSet {
@@ -744,6 +658,13 @@ mod tests {
         let rb = sharded.apply(&batch);
         assert_eq!(ra, rb, "fan-out accounting must match the whole-set handle");
         probe(&reference, &sharded);
+        // Rule 7 now lives on another shard: routing from the truth must
+        // find it there to remove it, and re-insert it at home.
+        let back = UpdateBatch::new()
+            .remove(7)
+            .insert(FiveTuple::new().dst_port_range(700, 799).into_rule(7, 7));
+        assert_eq!(reference.apply(&back), sharded.apply(&back), "move-back accounting");
+        probe(&reference, &sharded);
         // A pure-miss batch publishes nothing.
         let g = sharded.generation();
         let r = sharded.apply(&UpdateBatch::new().remove(9_999));
@@ -769,6 +690,37 @@ mod tests {
         assert_eq!(g, g0 + 1, "retrain publishes exactly one logical generation");
         for (i, p) in (0u64..65_536).step_by(61).enumerate() {
             assert_eq!(sharded.classify(&[0, 0, 0, p, 0]), oracle[i], "port {p}");
+        }
+    }
+
+    #[test]
+    fn sharded_updates_during_retrain_are_replayed() {
+        let set = port_set(300);
+        let sharded =
+            ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(3), LinearSearch::build).unwrap();
+        // Race inserts, and moves of rules to another shard, against a
+        // background retrain: whatever landed after the pin must replay
+        // onto the fresh shards as routed when applied.
+        let join = sharded.spawn_retrain();
+        for i in 0..20u32 {
+            sharded.apply(
+                &UpdateBatch::new()
+                    .insert(
+                        FiveTuple::new().dst_port_exact(50_000 + i as u16).into_rule(10_000 + i, 0),
+                    )
+                    .modify(FiveTuple::new().dst_port_exact(60_000 + i as u16).into_rule(i, i)),
+            );
+        }
+        join.join().unwrap().unwrap();
+        assert_eq!(sharded.retrains_completed(), 1);
+        assert!(!sharded.retrain_in_progress());
+        for i in 0..20u32 {
+            let key = [0u64, 0, 0, 50_000 + i as u64, 0];
+            assert_eq!(sharded.classify(&key).unwrap().rule, 10_000 + i, "update {i} lost");
+            let moved = [0u64, 0, 0, 60_000 + i as u64, 0];
+            assert_eq!(sharded.classify(&moved).unwrap().rule, i, "move {i} lost");
+            let old = [0u64, 0, 0, i as u64 * 100 + 50, 0];
+            assert_eq!(sharded.classify(&old), None, "rule {i} still served at its old range");
         }
     }
 

@@ -3,14 +3,16 @@
 //! A batch must classify against **one** pinned generation — that is the
 //! coherence contract the response `generation` field advertises, the
 //! oracle validator checks, and the worker runtime's checksum equivalence
-//! rests on. A pin is whatever "one generation" means for the engine: a
-//! snapshot `Arc` for a plain [`ClassifierHandle`], a [`ShardEpoch`] for
-//! the sharded planes, a bare reference for an immutable engine (the
-//! runtime's replicated mode). The serve front-end classifies whole flushed batches; the
+//! rests on. A pin is whatever "one generation" means for the engine: the
+//! `Arc` of the value a live [`Handle`] published (a snapshot, or a
+//! [`ShardEpoch`] for the sharded handle), a [`ShardEpoch`] for static
+//! shards, a bare reference for an immutable engine (the runtime's
+//! replicated mode). The serve front-end classifies whole flushed batches; the
 //! [`Runtime`] additionally reads the plane's shard layout
 //! ([`ServePlane::shards`], [`ServePlane::mirror`], [`ServePlane::steer`])
 //! to spread each batch over worker groups.
 //!
+//! [`Handle`]: crate::system::handle::Handle
 //! [`ShardEpoch`]: crate::system::runtime::ShardEpoch
 //! [`Runtime`]: crate::system::runtime::Runtime
 
@@ -19,7 +21,7 @@ use std::sync::Arc;
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::update::Generation;
 
-use crate::system::handle::{ClassifierHandle, NmSnapshot};
+use crate::system::handle::NmSnapshot;
 
 /// A batched data plane: pins generations and describes how the runtime
 /// may split a batch across worker groups. `'static` because the serve
@@ -75,11 +77,12 @@ pub trait PinnedPlane: Send {
     }
 }
 
-impl<R: Classifier + 'static> ServePlane for ClassifierHandle<R> {
-    type Pin = Arc<NmSnapshot<R>>;
+/// A fixed snapshot is a plane that always pins itself.
+impl<R: Classifier + Send + Sync + 'static> ServePlane for Arc<NmSnapshot<R>> {
+    type Pin = Self;
 
-    fn pin(&self) -> Self::Pin {
-        self.snapshot()
+    fn pin(&self) -> Self {
+        self.clone()
     }
 }
 

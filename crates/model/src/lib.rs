@@ -1,7 +1,7 @@
 //! `nm-model` — a loom-lite bounded interleaving explorer for the
 //! workspace's hand-rolled lock-free protocols (the left-right
-//! `shims/arc-swap` cell, `ClassifierHandle` pin/publish, `ShardEpoch`
-//! publication).
+//! `shims/arc-swap` cell and the live `Handle` pin/publish, whether it
+//! publishes a whole-set snapshot or a `ShardEpoch`).
 //!
 //! [`explore`] runs a closure under a DFS over thread schedules: every
 //! model operation (virtual atomic access, [`cell::RaceCell`] access,

@@ -5,9 +5,9 @@
 //! scale past a socket (per-shard working sets, per-worker flow caches,
 //! workers pinned to their shard's NUMA node).
 //!
-//! Also shows the control plane: one `UpdateBatch` fans out across the
-//! shard replicas and publishes a single logical generation, so readers can
-//! never observe half a transaction.
+//! Also shows the control plane: one `UpdateBatch` routes each op to the
+//! shard it belongs to and publishes a single epoch under one logical
+//! generation, so readers can never observe half a transaction.
 //!
 //! ```sh
 //! cargo run -p nm-bench --release --example sharded_runtime
@@ -53,7 +53,7 @@ fn main() {
         stats.pps, stats.workers, stats.pinned_workers, stats.steered,
     );
 
-    // Control plane: one transaction fans across the shards — a modify that
+    // Control plane: one transaction routes across the shards — a modify that
     // moves a rule into another shard's steering range lands as a remove on
     // the old shard and an insert on the new one, under ONE new generation.
     let g0 = sharded.generation();
@@ -72,8 +72,8 @@ fn main() {
         g0,
     );
 
-    // Retrains fan the same way: every shard folds its drift back into
-    // fresh models, then one epoch publishes them together.
+    // Retrains cover every shard: each folds its drift back into fresh
+    // models, then one epoch publishes them together.
     let g = sharded.retrain().expect("sharded retrain");
     let stats = rt.run(&sharded, &trace).expect("post-retrain run");
     let seq = run_sequential(&sharded, &trace);
