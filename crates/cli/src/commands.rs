@@ -426,6 +426,10 @@ struct WireOutcome {
     driver_timeouts: u64,
     updates_applied: u64,
     retrains: u64,
+    /// Applies built on a recycled snapshot, and on a clone of the live one
+    /// (pinned readers force clones).
+    recycled_applies: u64,
+    cloned_applies: u64,
     udp_addr: Option<std::net::SocketAddr>,
     tcp_addr: Option<std::net::SocketAddr>,
     tcp_drivers: usize,
@@ -574,6 +578,8 @@ where
         driver_timeouts,
         updates_applied,
         retrains: handle.retrains_completed(),
+        recycled_applies: handle.recycled_applies(),
+        cloned_applies: handle.cloned_applies(),
         udp_addr,
         tcp_addr,
         tcp_drivers,
@@ -651,7 +657,8 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
         return Ok(format!(
             "{{\"engine\":\"nm-tm\",\"rules\":{},\"build_s\":{:.3},\"readers\":{},\"seconds\":{:.3},\
              \"packets\":{},\"pps\":{:.1},\"update_rate\":{:.1},\"updates_applied\":{},\
-             \"generation\":{},\"retrains\":{},\"remainder_fraction\":{:.4},\
+             \"generation\":{},\"retrains\":{},\"recycled_applies\":{},\
+             \"cloned_applies\":{},\"remainder_fraction\":{:.4},\
              \"shards\":{},\"pinned_readers\":{},\"udp_readers\":{},\
              \"transport\":\"{}\",\"max_batch\":{},\"deadline_us\":{},\
              \"served\":{},\"driver_timeouts\":{},\"batches\":{},\"full_flushes\":{},\
@@ -671,6 +678,8 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
             wire.updates_applied,
             generation,
             wire.retrains,
+            wire.recycled_applies,
+            wire.cloned_applies,
             remainder_fraction,
             shards,
             pinned_readers,
@@ -709,7 +718,8 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
          syscalls: {} recv + {} send for {} requests = {:.4}/pkt \
          ({} udp reader(s), requests {}..{})\n\
          service latency: p50 {:.1}us  p99 {:.1}us  p99.9 {:.1}us  mean {:.1}us\n\
-         updates applied: {} ({:.0}/s target) -> generation {}\n\
+         updates applied: {} ({:.0}/s target) -> generation {} \
+         ({} applies recycled, {} cloned)\n\
          retrains completed: {}   remainder fraction now: {:.1}%\n\
          oracle validation: {} sampled, {} mismatches ({} skipped)\n\
          readers never blocked: every batch classified one pinned generation\n",
@@ -740,6 +750,8 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
         wire.updates_applied,
         update_rate,
         generation,
+        wire.recycled_applies,
+        wire.cloned_applies,
         wire.retrains,
         remainder_fraction * 100.0,
         stats.validated,
@@ -1195,6 +1207,8 @@ mod tests {
             "\"udp_readers\":2",
             "\"generation\":",
             "\"retrains\":",
+            "\"recycled_applies\":",
+            "\"cloned_applies\":",
             "\"transport\":\"both\"",
             "\"served\":",
             "\"p50_us\":",

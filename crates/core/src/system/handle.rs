@@ -28,11 +28,21 @@
 //! NuevoMatch engines ([`ShardedHandle`](crate::system::runtime::ShardedHandle)).
 //! The value sits behind an [`arc_swap::ArcSwap`]: readers
 //! [`Handle::snapshot`] it (two atomic ops, never a lock) and classify
-//! against the pinned generation; the writer clones the current value —
-//! cheap, because trained models and shard engines sit behind `Arc`s and
-//! only what the batch touches is copied — applies the batch to the clone,
-//! and publishes it under the next generation. A batch is therefore
-//! **atomic**: readers observe all of it or none of it, on every shard.
+//! against the pinned generation; the writer builds the next value off to
+//! the side, applies the batch to it, and publishes it under the next
+//! generation. A batch is therefore **atomic**: readers observe all of it
+//! or none of it, on every shard.
+//!
+//! The next value is built by **recycling** a retired one. Each publish
+//! swaps the new value in and gets back the one from two publishes ago,
+//! which readers can no longer pin. The writer keeps it as a spare,
+//! together with a short log of the batches published since. When the next
+//! batch arrives and no reader still holds the spare, the writer replays
+//! the log onto it and applies the batch there, so an apply costs what its
+//! batches touch, not the size of the remainder engine. When a reader still
+//! holds the spare, or a retrain has published since, the writer clones the
+//! live value instead. That is cheap for the trained models and untouched
+//! shards, which sit behind `Arc`s, but it copies the whole remainder.
 //!
 //! Retraining pins the live value under the control lock, trains *without*
 //! the lock (readers and the writer proceed untouched), then replays the
@@ -41,7 +51,7 @@
 //! their batches on it and drop it.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -148,6 +158,40 @@ struct Control<P: Lifecycle> {
     /// Batches applied while a retrain is in flight, as routed; replayed
     /// onto the fresh value before it is published.
     pending: Vec<P::Routed>,
+    /// The value the last publish retired, two publishes old. No reader
+    /// can pin it any more, but one that pinned it earlier may still hold
+    /// it.
+    spare: Option<Arc<P>>,
+    /// Every apply published after `spare`, oldest first: replayed, it
+    /// turns the spare into the live value. A retrain publish clears it,
+    /// so it never leads from a value older than the last retrain.
+    log: VecDeque<(Generation, P::Routed)>,
+}
+
+impl<P: Lifecycle> Control<P> {
+    /// Takes the spare back as the base of the next value: the log must
+    /// lead from it to `live`, and no reader may still pin it. Replays the
+    /// log onto it.
+    fn reclaim(&mut self, live: Generation) -> Option<P> {
+        let spare = self.spare.take()?;
+        let from = spare.generation();
+        if !self.log.iter().map(|(g, _)| *g).eq(from + 1..=live) {
+            return None;
+        }
+        let mut value = Arc::try_unwrap(spare).ok()?;
+        for (generation, routed) in &self.log {
+            value = value.apply(std::slice::from_ref(routed), *generation).0;
+        }
+        Some(value)
+    }
+
+    /// Keeps the value a publish retired as the next spare and trims the
+    /// log to what leads from it.
+    fn retire(&mut self, retired: Arc<P>) {
+        let from = retired.generation();
+        self.log.retain(|(g, _)| *g > from);
+        self.spare = Some(retired);
+    }
 }
 
 struct Shared<P: Lifecycle> {
@@ -159,6 +203,10 @@ struct Shared<P: Lifecycle> {
     retrains: AtomicU64,
     /// How many completed retrains took the partial (leaf-level) path.
     partial_retrains: AtomicU64,
+    /// Applies built on a recycled spare.
+    recycled_applies: AtomicU64,
+    /// Applies built on a clone of the live value.
+    cloned_applies: AtomicU64,
 }
 
 /// Marks a retrain in flight for as long as it lives.
@@ -236,10 +284,18 @@ impl<P: Published> Handle<P> {
             shared: Arc::new(Shared {
                 plan: value.plan().cloned(),
                 live: ArcSwap::new(Arc::new(value)),
-                ctl: Mutex::new(Control { recipe, rules, pending: Vec::new() }),
+                ctl: Mutex::new(Control {
+                    recipe,
+                    rules,
+                    pending: Vec::new(),
+                    spare: None,
+                    log: VecDeque::new(),
+                }),
                 retraining: AtomicBool::new(false),
                 retrains: AtomicU64::new(0),
                 partial_retrains: AtomicU64::new(0),
+                recycled_applies: AtomicU64::new(0),
+                cloned_applies: AtomicU64::new(0),
             }),
         }
     }
@@ -281,13 +337,26 @@ impl<P: Published> Handle<P> {
         self.shared.partial_retrains.load(SeqCst)
     }
 
+    /// Applies built on a recycled spare since construction.
+    pub fn recycled_applies(&self) -> u64 {
+        self.shared.recycled_applies.load(SeqCst)
+    }
+
+    /// Applies built on a clone of the live value since construction: the
+    /// first two after construction and after each retrain, and every one
+    /// whose spare a reader still held.
+    pub fn cloned_applies(&self) -> u64 {
+        self.shared.cloned_applies.load(SeqCst)
+    }
+
     /// Publishes `value`, stamped `generation() + 1` by its caller, which
     /// holds the ctl lock (single-writer discipline). The stamp lives inside
     /// the value — one atomic store makes both visible together, which is
     /// what keeps [`Handle::generation`] and the published view consistent.
-    fn publish(&self, value: P) -> Generation {
+    /// The value the swap retires becomes the next spare.
+    fn publish(&self, ctl: &mut Control<P>, value: P) -> Generation {
         let generation = value.generation();
-        self.shared.live.store(Arc::new(value));
+        ctl.retire(self.shared.live.swap(Arc::new(value)));
         generation
     }
 
@@ -301,7 +370,7 @@ impl<P: Published> Handle<P> {
     /// on one whole-set engine.
     pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
         if batch.is_empty() {
-            // Nothing to publish: cloning the engine and bumping the
+            // Nothing to publish: building a value and bumping the
             // generation for zero ops would only stampede the caches layered
             // above (the generation contract is "bumps when content
             // changes").
@@ -310,17 +379,27 @@ impl<P: Published> Handle<P> {
         let mut ctl = self.shared.ctl.lock();
         let live = self.snapshot();
         let routed = live.route(batch, &mut ctl.rules);
-        // Copy-on-write: clone the live value (Arc-shared models and
-        // shards), mutate the clone, publish.
-        let (next, report) =
-            P::clone(&live).apply(std::slice::from_ref(&*routed), live.generation() + 1);
+        let generation = live.generation() + 1;
+        let base = match ctl.reclaim(live.generation()) {
+            Some(spare) => {
+                self.shared.recycled_applies.fetch_add(1, SeqCst);
+                spare
+            }
+            None => {
+                self.shared.cloned_applies.fetch_add(1, SeqCst);
+                P::clone(&live)
+            }
+        };
+        let (next, report) = base.apply(std::slice::from_ref(&*routed), generation);
+        let routed = routed.into_owned();
         if self.retrain_in_progress() {
-            ctl.pending.push(routed.into_owned());
+            ctl.pending.push(routed.clone());
         }
-        // A batch of pure misses changed nothing: drop the clone and keep
-        // the published value (and its generation) as they are.
+        // A batch of pure misses changed nothing: drop the new value and
+        // keep the published one (and its generation) as they are.
         if report.changed() {
-            self.publish(next);
+            ctl.log.push_back((generation, routed));
+            self.publish(&mut ctl, next);
         }
         report
     }
@@ -401,6 +480,9 @@ impl<P: Published> Handle<P> {
                 Error::Build { msg: "retrain: a retrain is already in flight".to_string() }
             })?;
             ctl.pending.clear();
+            // The retrain publish ends the spare's lineage: free it now
+            // rather than hold it through training.
+            ctl.spare = None;
             let rules: Vec<Rule> = match (&ctl.rules, partial) {
                 (Some(map), false) => map.values().cloned().collect(),
                 _ => Vec::new(),
@@ -422,7 +504,11 @@ impl<P: Published> Handle<P> {
         let mut ctl = self.shared.ctl.lock();
         let (fresh, _) = fresh.apply(&ctl.pending, self.generation() + 1);
         ctl.pending.clear();
-        let generation = self.publish(fresh);
+        // The fresh value starts a new lineage: nothing retired before it
+        // can be replayed into it.
+        ctl.log.clear();
+        let generation = self.publish(&mut ctl, fresh);
+        ctl.spare = None;
         self.shared.retrains.fetch_add(1, SeqCst);
         if partial {
             self.shared.partial_retrains.fetch_add(1, SeqCst);

@@ -5,7 +5,7 @@
 //! the published value reduced to integers: one stamped payload stands in
 //! for a whole-set snapshot, a two-shard vector of stamped payloads for a
 //! [`super::runtime::ShardEpoch`] — the real handle publishes either one
-//! the same way, with one store. The *synchronization* is the code under
+//! the same way, with one swap. The *synchronization* is the code under
 //! test, and it runs on the exact same [`arc_swap::ArcSwap`] left-right
 //! cell the real structures use (which under `nm_model` is built on the
 //! model's virtual atomics). The `#[cfg(test)]` half then explores every
@@ -20,16 +20,26 @@
 //! * **no torn epoch** — a pinned two-shard payload always carries every
 //!   shard at the same per-shard generation (one coherent publication);
 //! * **reclamation safety** — a pinned snapshot's payload stays intact
-//!   while later publishes recycle both left-right slots under it.
+//!   while later publishes recycle both left-right slots under it;
+//! * **recycling safety** — the writer mutates a retired value only when
+//!   no reader can reach it: the payload is a race-checked cell, so a write
+//!   any reader could still observe fails the schedule.
 //!
 //! The protocol skeleton mirrors the real publish path line for line:
 //! stamp inside the published value, generation derived from the live
 //! value (not a separate mirror), writer serialised by a control mutex,
-//! copy-on-write from the live value.
+//! the next value built by recycling the value the last swap retired
+//! (`try_unwrap`, replay the log, mutate in place) and cloned from the live
+//! value only when a reader still holds that spare.
+//!
+//! Under `--cfg nm_model_mutate` the writer also writes into a spare it
+//! could not unwrap — the seeded recycling bug the
+//! `model_mutation_recycles_under_a_reader` teeth test must catch.
 
 use std::sync::Arc;
 
 use arc_swap::ArcSwap;
+use nm_model::cell::RaceCell;
 use nm_model::sync::Mutex;
 
 /// Generation stamp (mirrors `Generation` in the real system).
@@ -39,7 +49,8 @@ pub type Gen = u64;
 /// models (one engine's, or every shard's).
 pub struct ModelSnapshot<P = u64> {
     generation: Gen,
-    payload: P,
+    /// Race-checked: the writer overwrites it when it recycles the value.
+    payload: RaceCell<P>,
 }
 
 impl<P> ModelSnapshot<P> {
@@ -53,26 +64,61 @@ impl<P> ModelSnapshot<P> {
 impl ModelSnapshot {
     /// The stand-in for the classifier state.
     pub fn payload(&self) -> u64 {
-        self.payload
+        self.payload.get()
     }
 }
 
-/// A sharded payload: every shard's stamped state, published together
+/// A sharded payload: every shard's stamp and state, published together
 /// (mirrors `ShardEpoch` over per-shard engines).
-pub type ModelShards = Vec<ModelSnapshot>;
+pub type ModelShards = Vec<(Gen, u64)>;
 
 impl ModelSnapshot<ModelShards> {
     /// The pinned per-shard generations — coherence tests assert one epoch
     /// always reports an all-equal vector (mirrors
     /// `ShardEpoch::home_generations`).
     pub fn shard_generations(&self) -> Vec<Gen> {
-        self.payload.iter().map(ModelSnapshot::generation).collect()
+        self.payload.get().iter().map(|&(g, _)| g).collect()
     }
 
     /// Sum of the pinned payloads (a stand-in for classification against
     /// the epoch: it must read every shard's pinned state).
     pub fn payload_sum(&self) -> u64 {
-        self.payload.iter().map(ModelSnapshot::payload).sum()
+        self.payload.get().iter().map(|&(_, p)| p).sum()
+    }
+}
+
+/// The writer's state (mirrors the handle's `Control`): the retired spare
+/// and the payloads published since it, oldest first.
+struct Writer<P> {
+    spare: Option<Arc<ModelSnapshot<P>>>,
+    log: Vec<(Gen, P)>,
+    recycled: u64,
+}
+
+impl<P: Clone> Writer<P> {
+    /// Takes the spare back when the log leads from it to `live` and no
+    /// reader holds it, and replays the log onto it in place (mirrors
+    /// `Control::reclaim`).
+    fn reclaim(&mut self, live: Gen) -> Option<ModelSnapshot<P>> {
+        let spare = self.spare.take()?;
+        if !self.log.iter().map(|(g, _)| *g).eq(spare.generation() + 1..=live) {
+            return None;
+        }
+        let spare = match Arc::try_unwrap(spare) {
+            Ok(spare) => spare,
+            Err(_shared) => {
+                // The seeded bug: recycle a value a reader still holds.
+                #[cfg(nm_model_mutate)]
+                if let Some((_, payload)) = self.log.last() {
+                    _shared.payload.set(payload.clone());
+                }
+                return None;
+            }
+        };
+        for (_, payload) in &self.log {
+            spare.payload.set(payload.clone());
+        }
+        Some(spare)
     }
 }
 
@@ -80,14 +126,17 @@ impl ModelSnapshot<ModelShards> {
 /// writer-serialising control mutex.
 pub struct ModelHandle<P = u64> {
     live: ArcSwap<ModelSnapshot<P>>,
-    ctl: Mutex<()>,
+    ctl: Mutex<Writer<P>>,
 }
 
-impl<P> ModelHandle<P> {
+impl<P: Clone> ModelHandle<P> {
     fn with_payload(payload: P) -> Self {
         Self {
-            live: ArcSwap::new(Arc::new(ModelSnapshot { generation: 1, payload })),
-            ctl: Mutex::new(()),
+            live: ArcSwap::new(Arc::new(ModelSnapshot {
+                generation: 1,
+                payload: RaceCell::new(payload),
+            })),
+            ctl: Mutex::new(Writer { spare: None, log: Vec::new(), recycled: 0 }),
         }
     }
 
@@ -103,15 +152,35 @@ impl<P> ModelHandle<P> {
         self.live.load().generation()
     }
 
+    /// Publishes built on a recycled spare (mirrors
+    /// `Handle::recycled_applies`).
+    pub fn recycled(&self) -> u64 {
+        self.ctl.lock().recycled
+    }
+
     /// Publishes `next(live payload, next stamp)` as the next generation
-    /// under the writer lock (mirrors `Handle::apply`: copy on write from
-    /// the live value, one store). Returns the new stamp.
+    /// under the writer lock (mirrors `Handle::apply`: recycle the spare or
+    /// clone the live value, one swap, keep what it retires). Returns the
+    /// new stamp.
     fn publish_with(&self, next: impl FnOnce(&P, Gen) -> P) -> Gen {
-        let _guard = self.ctl.lock();
+        let mut ctl = self.ctl.lock();
         let live = self.live.load();
         let generation = live.generation() + 1;
-        let payload = next(&live.payload, generation);
-        self.live.store(Arc::new(ModelSnapshot { generation, payload }));
+        let payload = next(&live.payload.get(), generation);
+        let value = match ctl.reclaim(live.generation()) {
+            Some(mut value) => {
+                ctl.recycled += 1;
+                value.generation = generation;
+                value.payload.set(payload.clone());
+                value
+            }
+            None => ModelSnapshot { generation, payload: RaceCell::new(payload.clone()) },
+        };
+        ctl.log.push((generation, payload));
+        let retired = self.live.swap(Arc::new(value));
+        let from = retired.generation();
+        ctl.log.retain(|(g, _)| *g > from);
+        ctl.spare = Some(retired);
         generation
     }
 }
@@ -132,7 +201,7 @@ impl ModelHandle<ModelShards> {
     /// `shards` shards holding `payload`, all at generation 1 (mirrors
     /// `ShardedHandle::new`).
     pub fn sharded(shards: usize, payload: u64) -> Self {
-        Self::with_payload((0..shards).map(|_| ModelSnapshot { generation: 1, payload }).collect())
+        Self::with_payload(vec![(1, payload); shards])
     }
 
     /// Pins the current epoch (mirrors `ShardedHandle::epoch`).
@@ -141,11 +210,9 @@ impl ModelHandle<ModelShards> {
     }
 
     /// Writes `payload` to every shard and publishes the shards together as
-    /// the next generation — one store, like every real publish.
+    /// the next generation — one swap, like every real publish.
     pub fn apply_all(&self, payload: u64) -> Gen {
-        self.publish_with(|shards, generation| {
-            shards.iter().map(|_| ModelSnapshot { generation, payload }).collect()
-        })
+        self.publish_with(|shards, generation| vec![(generation, payload); shards.len()])
     }
 }
 
@@ -251,34 +318,95 @@ mod tests {
         });
     }
 
+    /// A snapshot pinned before the writer starts, read by another thread
+    /// while three publishes cycle both left-right slots beneath it and try
+    /// to recycle it.
+    fn pinned_reader_against_three_publishes() {
+        let h = Arc::new(ModelHandle::new(7));
+        let pinned = h.snapshot();
+        let writer = {
+            let h = Arc::clone(&h);
+            thread::spawn(move || {
+                for payload in 8..11 {
+                    h.publish(payload);
+                }
+            })
+        };
+        let reader = {
+            let pinned = Arc::clone(&pinned);
+            thread::spawn(move || {
+                for _ in 0..2 {
+                    assert_eq!(pinned.payload(), 7, "pinned payload changed under the reader");
+                }
+                assert_eq!(pinned.generation(), 1);
+            })
+        };
+        reader.join();
+        writer.join();
+        assert_eq!(pinned.payload(), 7);
+        assert_eq!(h.snapshot().payload(), 10);
+    }
+
     /// Reclamation safety of the two-slot swap: a pinned snapshot's payload
-    /// survives while later publishes recycle both slots beneath it.
+    /// survives while later publishes recycle both slots beneath it, and
+    /// the writer never recycles the pinned value itself.
     #[cfg(not(nm_model_mutate))]
     #[test]
     fn model_pinned_snapshot_outlives_slot_recycling() {
-        nm_model::check("pinned snapshot reclamation", || {
-            let h = Arc::new(ModelHandle::new(7));
-            let pinned = h.snapshot();
-            let writer = {
-                let h = Arc::clone(&h);
-                thread::spawn(move || {
-                    // Two publishes cycle through both left-right slots.
-                    h.publish(8);
-                    h.publish(9);
-                })
-            };
-            let reader = {
-                let pinned = Arc::clone(&pinned);
-                thread::spawn(move || {
-                    assert_eq!(pinned.payload(), 7, "pinned payload changed under the reader");
-                    assert_eq!(pinned.generation(), 1);
-                })
-            };
-            reader.join();
-            writer.join();
-            assert_eq!(pinned.payload(), 7);
-            assert_eq!(h.snapshot().payload(), 9);
+        nm_model::check("pinned snapshot reclamation", pinned_reader_against_three_publishes);
+    }
+
+    /// One reader pinning, re-reading and re-pinning while the writer
+    /// publishes three times — the third publish is the first that can
+    /// recycle. The reader's pinned payload must never change under it, and
+    /// a pin of the recycled value must see its new contents whole.
+    #[cfg(not(nm_model_mutate))]
+    fn reader_against_recycling() -> bool {
+        let h = Arc::new(ModelHandle::new(100));
+        let reader = {
+            let h = Arc::clone(&h);
+            thread::spawn(move || {
+                for _ in 0..2 {
+                    let snap = h.snapshot();
+                    let first = snap.payload();
+                    assert_eq!(first, 99 + snap.generation(), "stamp and payload disagree");
+                    assert_eq!(snap.payload(), first, "payload changed under a pin");
+                }
+            })
+        };
+        for payload in 101..104 {
+            h.publish(payload);
+        }
+        reader.join();
+        assert_eq!((h.generation(), h.snapshot().payload()), (4, 103));
+        h.recycled() > 0
+    }
+
+    /// Recycling never writes a value a reader holds, and the checker
+    /// reaches both outcomes of the third publish: the reader had let the
+    /// spare go (recycled) or still held it (cloned).
+    #[cfg(not(nm_model_mutate))]
+    #[test]
+    fn model_recycled_value_is_never_mutated_under_a_reader() {
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+        static OUTCOMES: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+        nm_model::check("handle recycling", || {
+            OUTCOMES[usize::from(reader_against_recycling())].fetch_add(1, SeqCst);
         });
+        assert!(OUTCOMES[0].load(SeqCst) > 0, "no schedule held the spare");
+        assert!(OUTCOMES[1].load(SeqCst) > 0, "no schedule recycled");
+    }
+
+    /// The seeded recycling bug (`--cfg nm_model_mutate` writes into a
+    /// spare a reader still holds) must surface as a data race. The reader
+    /// pinned before the writer started, so the weakened flip seeded
+    /// alongside cannot be what the checker finds here.
+    #[cfg(nm_model_mutate)]
+    #[test]
+    fn model_mutation_recycles_under_a_reader() {
+        let v = nm_model::find_violation(pinned_reader_against_three_publishes)
+            .expect("writing a held spare must surface as a model violation");
+        assert!(v.message.contains("data race"), "unexpected violation kind: {}", v.message);
     }
 
     /// With the seeded arc-swap mutation (`--cfg nm_model_mutate`), the

@@ -17,22 +17,38 @@ use crate::{ctx, Ctx};
 /// safe: under exploration every access is checked for races; outside it
 /// the cell is just a mutex-protected value.
 pub struct RaceCell<T> {
-    /// Store history for the current run; the last element is the live
-    /// value, earlier elements are superseded stores still observable by
-    /// under-synchronized readers. Indices align with the scheduler's
-    /// history for the registered location.
-    vals: Mutex<Vec<T>>,
+    /// Store history for the current run; indices align with the
+    /// scheduler's history for the registered location. Only the last
+    /// element holds its value: a read that could observe an earlier store
+    /// fails the schedule instead of returning it, so superseded values are
+    /// dropped when they are overwritten, as in a real cell (an `Arc` kept
+    /// alive here would make the model's reference counts differ from the
+    /// real build's).
+    vals: Mutex<Vec<Option<T>>>,
     key: std::sync::atomic::AtomicU64,
+}
+
+/// Appends the store `v`, dropping the value it supersedes.
+fn push<T>(vals: &mut Vec<Option<T>>, v: T) {
+    if let Some(last) = vals.last_mut() {
+        *last = None;
+    }
+    vals.push(Some(v));
 }
 
 impl<T: Clone> RaceCell<T> {
     /// Creates the cell holding `v`.
     pub fn new(v: T) -> Self {
-        Self { vals: Mutex::new(vec![v]), key: std::sync::atomic::AtomicU64::new(0) }
+        Self { vals: Mutex::new(vec![Some(v)]), key: std::sync::atomic::AtomicU64::new(0) }
     }
 
-    fn vals(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
+    fn vals(&self) -> std::sync::MutexGuard<'_, Vec<Option<T>>> {
         self.vals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value of store `idx`, which must be the latest.
+    fn value(vals: &[Option<T>], idx: usize) -> T {
+        vals[idx].clone().expect("only the latest store is ever read")
     }
 
     /// Registers (or re-registers, on a new run) the cell with the
@@ -55,7 +71,10 @@ impl<T: Clone> RaceCell<T> {
     /// (more than one store is observable).
     pub fn get(&self) -> T {
         match ctx() {
-            None => self.vals().last().expect("cell is never empty").clone(),
+            None => {
+                let vals = self.vals();
+                Self::value(&vals, vals.len() - 1)
+            }
             Some(c) => {
                 let loc = self.loc(&c);
                 let idx = c.sched.step(
@@ -67,7 +86,7 @@ impl<T: Clone> RaceCell<T> {
                         Err(msg) => StepResult::Violation(msg),
                     },
                 );
-                self.vals()[idx].clone()
+                Self::value(&self.vals(), idx)
             }
         }
     }
@@ -76,11 +95,7 @@ impl<T: Clone> RaceCell<T> {
     /// acquire edge).
     pub fn set(&self, v: T) {
         match ctx() {
-            None => {
-                let mut vals = self.vals();
-                vals.clear();
-                vals.push(v);
-            }
+            None => *self.vals() = vec![Some(v)],
             Some(c) => {
                 let loc = self.loc(&c);
                 let idx = c.sched.step(
@@ -91,7 +106,7 @@ impl<T: Clone> RaceCell<T> {
                 );
                 let mut vals = self.vals();
                 debug_assert_eq!(vals.len(), idx);
-                vals.push(v);
+                push(&mut vals, v);
             }
         }
     }
@@ -102,9 +117,8 @@ impl<T: Clone> RaceCell<T> {
         match ctx() {
             None => {
                 let mut vals = self.vals();
-                let old = vals.last().expect("cell is never empty").clone();
-                vals.clear();
-                vals.push(v);
+                let old = vals.pop().flatten().expect("cell is never empty");
+                *vals = vec![Some(v)];
                 old
             }
             Some(c) => {
@@ -120,8 +134,8 @@ impl<T: Clone> RaceCell<T> {
                 );
                 let mut vals = self.vals();
                 debug_assert_eq!(vals.len(), new_idx);
-                let old = vals[old_idx].clone();
-                vals.push(v);
+                let old = vals[old_idx].take().expect("only the latest store is ever read");
+                vals.push(Some(v));
                 old
             }
         }

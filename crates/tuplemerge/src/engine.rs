@@ -10,6 +10,10 @@ use nm_common::ruleset::{FieldsSpec, RuleSet};
 use nm_common::update::{BatchUpdatable, Generation, UpdateBatch, UpdateReport};
 use std::collections::HashMap;
 
+/// Dead slab slots tolerated beyond the live count before the slab is
+/// compacted.
+const SLAB_SLACK: usize = 64;
+
 /// TupleMerge parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct TupleMergeConfig {
@@ -117,7 +121,17 @@ impl TupleMerge {
     }
 
     fn insert_into_tables(&mut self, slab_idx: u32) {
-        let rule = self.slab[slab_idx as usize].clone().expect("live rule");
+        let (table_idx, bucket_len) = self.file(slab_idx);
+        if bucket_len > self.cfg.collision_limit {
+            self.split(table_idx);
+        }
+        self.resort_order();
+    }
+
+    /// Files a slab rule into the finest table it fits (a fresh one if
+    /// none); returns the table and the bucket size after the insert.
+    fn file(&mut self, slab_idx: u32) -> (usize, usize) {
+        let rule = self.slab[slab_idx as usize].as_ref().expect("live rule");
         let natural = Tuple::natural(&rule.fields, &self.spec);
         let table_idx = match self.find_table(&natural) {
             Some(i) => i,
@@ -126,12 +140,9 @@ impl TupleMerge {
                 self.tables.len() - 1
             }
         };
-        let h = self.tables[table_idx].hash_rule(&rule, &self.spec);
-        let bucket_len = self.tables[table_idx].insert(h, slab_idx, rule.priority);
-        if bucket_len > self.cfg.collision_limit {
-            self.split(table_idx);
-        }
-        self.resort_order();
+        let table = &mut self.tables[table_idx];
+        let h = table.hash_rule(rule, &self.spec);
+        (table_idx, table.insert(h, slab_idx, rule.priority))
     }
 
     /// Splits an overflowing table: refine the field where the most members
@@ -185,24 +196,10 @@ impl TupleMerge {
         new_lens.0[best_dim] += step;
         self.tables[table_idx] = Table::new(new_lens);
         for m in members {
-            self.insert_into_tables_no_split(m);
+            self.file(m);
         }
         // One refinement round per overflow keeps splits terminating; if a
         // bucket still exceeds the limit the next insert refines again.
-    }
-
-    fn insert_into_tables_no_split(&mut self, slab_idx: u32) {
-        let rule = self.slab[slab_idx as usize].clone().expect("live rule");
-        let natural = Tuple::natural(&rule.fields, &self.spec);
-        let table_idx = match self.find_table(&natural) {
-            Some(i) => i,
-            None => {
-                self.tables.push(Table::new(self.table_tuple_for(&natural)));
-                self.tables.len() - 1
-            }
-        };
-        let h = self.tables[table_idx].hash_rule(&rule, &self.spec);
-        self.tables[table_idx].insert(h, slab_idx, rule.priority);
     }
 
     /// Table-major batched probe — the batch form of [`TupleMerge::probe`].
@@ -382,6 +379,7 @@ impl BatchUpdatable for TupleMerge {
         if report.changed() {
             self.generation += 1;
         }
+        self.compact();
         report
     }
 
@@ -409,6 +407,35 @@ impl TupleMerge {
                 true
             }
             None => false,
+        }
+    }
+
+    /// Renumbers the slab densely once dead slots outnumber live ones by
+    /// more than [`SLAB_SLACK`]. Every modify leaves a dead slot behind and
+    /// clones carry them along, so without this the slab grows by one slot
+    /// per modify for the engine's whole life. Tables, bucket order and the
+    /// probe order stay as they are, so lookups are unchanged; the result
+    /// depends only on the engine's state, so replaying the same batches
+    /// onto an equal engine compacts at the same points.
+    fn compact(&mut self) {
+        let live = self.by_id.len();
+        if self.slab.len() - live <= live + SLAB_SLACK {
+            return;
+        }
+        let mut map = vec![u32::MAX; self.slab.len()];
+        let mut next = 0u32;
+        for (slot, new) in self.slab.iter().zip(&mut map) {
+            if slot.is_some() {
+                *new = next;
+                next += 1;
+            }
+        }
+        self.slab.retain(Option::is_some);
+        for table in &mut self.tables {
+            table.remap(&map);
+        }
+        for idx in self.by_id.values_mut() {
+            *idx = map[*idx as usize];
         }
     }
 
@@ -634,6 +661,51 @@ mod tests {
         let oracle = LinearSearch::build(&set);
         for key in random_keys(77, 200, &set) {
             assert_eq!(tm.classify(&key), oracle.classify(&key), "original drifted on {key:?}");
+        }
+    }
+
+    #[test]
+    fn slab_stays_dense_across_modify_and_shrink_cycles() {
+        // Each cycle is what the remainder sees between retrains: a burst
+        // of modifies (each leaves a dead slot), then a partial retrain's
+        // shrink, which removes the re-admitted rules from a clone.
+        let set = random_set(21, 400);
+        let mut tm = TupleMerge::build(&set);
+        let mut truth: HashMap<RuleId, Rule> =
+            set.rules().iter().map(|r| (r.id, r.clone())).collect();
+        let mut rng = SplitMix64::new(21);
+        for cycle in 0..10u32 {
+            let mut modifies = UpdateBatch::new();
+            for _ in 0..160 {
+                let id = rng.below(400) as RuleId;
+                let lo = rng.below(60_000) as u16;
+                let rule = FiveTuple::new()
+                    .dst_port_range(lo, lo + rng.below(2_000) as u16)
+                    .into_rule(id, id);
+                truth.insert(id, rule.clone());
+                modifies = modifies.modify(rule);
+            }
+            tm.apply(&modifies);
+            let mut shrink = UpdateBatch::new();
+            for id in (cycle..400).step_by(5) {
+                truth.remove(&id);
+                shrink = shrink.remove(id);
+            }
+            tm = tm.clone();
+            tm.apply(&shrink);
+            assert!(
+                tm.slab.len() <= 2 * tm.num_rules() + SLAB_SLACK,
+                "cycle {cycle}: {} slots for {} live rules",
+                tm.slab.len(),
+                tm.num_rules()
+            );
+            let mut rules: Vec<Rule> = truth.values().cloned().collect();
+            rules.sort_by_key(|r| r.id);
+            let now = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+            let oracle = LinearSearch::build(&now);
+            for key in random_keys(cycle as u64, 300, &now) {
+                assert_eq!(tm.classify(&key), oracle.classify(&key), "cycle {cycle} key {key:?}");
+            }
         }
     }
 

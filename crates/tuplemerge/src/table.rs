@@ -99,6 +99,16 @@ impl Table {
         out
     }
 
+    /// Rewrites every stored slab index `i` to `map[i]`, keeping each
+    /// bucket's order (slab compaction).
+    pub fn remap(&mut self, map: &[u32]) {
+        for bucket in self.map.values_mut() {
+            for i in bucket {
+                *i = map[*i as usize];
+            }
+        }
+    }
+
     /// Largest bucket size (diagnostics).
     pub fn max_bucket(&self) -> usize {
         self.map.values().map(Vec::len).max().unwrap_or(0)

@@ -235,7 +235,10 @@ impl<T> ArcSwap<T> {
         drop(self.swap(value));
     }
 
-    /// [`ArcSwap::store`] that also returns the replaced `Arc`.
+    /// [`ArcSwap::store`] that also returns a retired `Arc`: the value the
+    /// *previous* store replaced, which neither slot serves any more (on
+    /// the first store, a clone of the initial value, which its slot still
+    /// holds).
     pub fn swap(&self, value: Arc<T>) -> Arc<T> {
         #[cfg(not(nm_model))]
         let _guard = self.write_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -260,7 +263,8 @@ impl<T> ArcSwap<T> {
         // next call reclaims it. Returning the freshest retired value would
         // require draining `slots[cur]` here, which would make writers wait
         // on *current* readers; handing back the older generation keeps the
-        // writer wait bounded and is all the call sites need (they drop it).
+        // writer wait bounded. No reader can load it any more, so a caller
+        // may recycle it once `Arc::try_unwrap` shows nobody still holds it.
         old_standby.unwrap_or_else(|| {
             // SAFETY: first-ever store — the standby slot was empty, so the
             // retired snapshot is the one still parked in the old current

@@ -19,7 +19,7 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
@@ -81,6 +81,11 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Notify under the queue lock: a receiver that saw a live
+                // sender is then either already waiting or not yet past its
+                // check. Notifying without the lock could land between the
+                // two, and that receiver would wait forever.
+                let _queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 self.0.not_empty.notify_all();
             }
         }
@@ -96,6 +101,8 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.0.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Under the lock, for the reason given on `Sender`'s drop.
+                let _queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 self.0.not_full.notify_all();
             }
         }

@@ -16,10 +16,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
 use nm_common::{
-    Classifier, FieldsSpec, FiveTuple, LinearSearch, Rule, RuleSet, SplitMix64, UpdateBatch,
+    Classifier, FieldsSpec, FiveTuple, LinearSearch, Rule, RuleSet, ShardPlanConfig, ShardStrategy,
+    SplitMix64, UpdateBatch,
 };
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::{ClassifierHandle, NuevoMatchConfig, RqRmiParams};
+use nuevomatch::{
+    ClassifierHandle, Handle, NuevoMatchConfig, PartialRetrainPolicy, Published, RqRmiParams,
+    ShardedHandle,
+};
 use proptest::prelude::*;
 
 const N_RULES: u16 = 400;
@@ -241,4 +245,206 @@ fn readers_progress_while_retrain_runs() {
     });
     assert!(during.load(SeqCst) > 0, "reader made no progress during retrain");
     assert_eq!(handle.retrains_completed(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Recycling retired snapshots
+// ---------------------------------------------------------------------------
+
+const RECYCLE_RULES: u32 = 150;
+
+fn port_rule(id: u32, lo: u64) -> Rule {
+    let lo = (lo % 65_000) as u16;
+    FiveTuple::new().dst_port_range(lo, lo + 90).into_rule(id, id)
+}
+
+fn recycle_cfg() -> NuevoMatchConfig {
+    NuevoMatchConfig { partial_retrain: PartialRetrainPolicy::always(), ..cfg() }
+}
+
+fn recycle_set() -> RuleSet {
+    let rules = (0..RECYCLE_RULES).map(|i| port_rule(i, u64::from(i) * 400)).collect();
+    RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap()
+}
+
+fn whole_handle() -> ClassifierHandle<TupleMerge> {
+    ClassifierHandle::new(&recycle_set(), &recycle_cfg(), TupleMerge::build).unwrap()
+}
+
+fn sharded_handle() -> ShardedHandle<TupleMerge> {
+    let plan = ShardPlanConfig { shards: 2, dim: Some(3), strategy: ShardStrategy::Range };
+    ShardedHandle::new(&recycle_set(), &recycle_cfg(), &plan, TupleMerge::build).unwrap()
+}
+
+/// `value` must serve exactly `truth` on a sweep of ports.
+fn assert_serves(value: &dyn Classifier, truth: &HashMap<u32, Rule>, what: &str) {
+    let oracle = LinearSearch::from_rules(truth.values().cloned().collect());
+    for port in (0u64..66_000).step_by(263) {
+        let key = [0, 0, 0, port, 0];
+        assert_eq!(value.classify(&key), oracle.classify(&key), "{what}: port {port}");
+    }
+}
+
+/// One random batch of 1–4 ops over live, absent and repeated ids; about
+/// one in six is a batch of pure misses.
+fn random_batch(
+    rng: &mut SplitMix64,
+    truth: &mut HashMap<u32, Rule>,
+    next_id: &mut u32,
+) -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    if rng.below(6) == 0 {
+        for _ in 0..1 + rng.below(2) {
+            let id = 50_000 + rng.below(100) as u32;
+            batch = batch.remove(id);
+        }
+        return batch;
+    }
+    // Draw from a small pool so a batch often names one id twice.
+    let pool: Vec<u32> = (0..3).map(|_| rng.below(u64::from(RECYCLE_RULES)) as u32).collect();
+    for _ in 0..1 + rng.below(4) {
+        let id = pool[rng.below(3) as usize];
+        batch = match rng.below(3) {
+            0 => {
+                truth.remove(&id);
+                batch.remove(id)
+            }
+            1 => {
+                let rule = port_rule(*next_id, rng.next_u64());
+                *next_id += 1;
+                truth.insert(rule.id, rule.clone());
+                batch.insert(rule)
+            }
+            _ => {
+                let rule = port_rule(id, rng.next_u64());
+                truth.insert(id, rule.clone());
+                batch.modify(rule)
+            }
+        };
+    }
+    batch
+}
+
+/// Random interleavings of applies, partial and full retrains, and pins
+/// held across 0–3 publishes, run on one thread so each schedule is exact.
+/// Every value a pin holds — including the ones whose retired siblings the
+/// writer recycled meanwhile — must serve the rule truth at its own
+/// generation. Returns the applies made.
+fn recycle_interleavings<P: Published>(handle: &Handle<P>, seed: u64) -> u64 {
+    let mut rng = SplitMix64::new(seed);
+    let mut truth: HashMap<u32, Rule> =
+        recycle_set().rules().iter().map(|r| (r.id, r.clone())).collect();
+    let mut history: HashMap<u64, HashMap<u32, Rule>> = HashMap::new();
+    history.insert(handle.generation(), truth.clone());
+    let mut next_id = 10_000;
+    let mut pins: Vec<(Arc<P>, u64)> = Vec::new();
+    let mut applies = 0;
+    for step in 0..120 {
+        let before = handle.generation();
+        match rng.below(12) {
+            0 => drop(handle.retrain_partial()),
+            1 => {
+                handle.retrain_full().unwrap();
+            }
+            2 | 3 => pins.push((handle.snapshot(), rng.below(4))),
+            _ => {
+                let batch = random_batch(&mut rng, &mut truth, &mut next_id);
+                handle.apply(&batch);
+                applies += 1;
+            }
+        }
+        let now = handle.generation();
+        if now == before {
+            assert_eq!(history[&now], truth, "step {step}: truth moved without a publish");
+        } else {
+            history.insert(now, truth.clone());
+            // A publish ages every pin; released pins drop here.
+            pins.retain_mut(|(_, left)| {
+                *left = left.saturating_sub(1);
+                *left > 0
+            });
+        }
+        for (pin, _) in &pins {
+            let g = Classifier::generation(&**pin);
+            assert_serves(&**pin, &history[&g], &format!("step {step}: pin at generation {g}"));
+        }
+        assert_serves(&*handle.snapshot(), &truth, &format!("step {step}: live"));
+    }
+    applies
+}
+
+#[test]
+fn recycled_applies_stay_generation_exact_under_interleavings() {
+    for seed in [1u64, 2, 3] {
+        let whole = whole_handle();
+        let applies = recycle_interleavings(&whole, seed);
+        assert_eq!(whole.recycled_applies() + whole.cloned_applies(), applies);
+        assert!(whole.recycled_applies() > 0, "seed {seed}: no apply recycled");
+        let sharded = sharded_handle();
+        let applies = recycle_interleavings(&sharded, seed);
+        assert_eq!(sharded.recycled_applies() + sharded.cloned_applies(), applies);
+        assert!(sharded.recycled_applies() > 0, "seed {seed}: no sharded apply recycled");
+    }
+}
+
+/// With no pins held, all but the first few applies reuse the retired
+/// value; a reader still pinning the spare forces one clone and keeps its
+/// view; and no apply after a retrain recycles a value from before it.
+fn steady_state_recycles<P: Published>(handle: &Handle<P>, drift: impl Fn(&Handle<P>) -> f64) {
+    const N: u64 = 40;
+    let mut truth: HashMap<u32, Rule> =
+        recycle_set().rules().iter().map(|r| (r.id, r.clone())).collect();
+    // Each modify moves a rule into the gap after its own slot: no overlap,
+    // so a retrain re-admits every moved rule and resets the drift.
+    let modify = |i: u64, truth: &mut HashMap<u32, Rule>| {
+        let id = i % u64::from(RECYCLE_RULES);
+        let rule = port_rule(id as u32, id * 400 + 150 + i % 3 * 60);
+        truth.insert(rule.id, rule.clone());
+        handle.apply(&UpdateBatch::new().modify(rule));
+    };
+    for i in 0..N {
+        modify(i, &mut truth);
+    }
+    assert_eq!(handle.recycled_applies() + handle.cloned_applies(), N);
+    assert!(
+        handle.recycled_applies() >= N - 3,
+        "{} of {N} applies recycled",
+        handle.recycled_applies()
+    );
+    // Two publishes after this pin, its value is the spare.
+    let pinned = handle.snapshot();
+    let pinned_truth = truth.clone();
+    modify(N, &mut truth);
+    modify(N + 1, &mut truth);
+    let cloned = handle.cloned_applies();
+    modify(N + 2, &mut truth);
+    assert_eq!(handle.cloned_applies(), cloned + 1, "a pinned spare must not be recycled");
+    assert_serves(&*pinned, &pinned_truth, "pinned spare");
+    assert_serves(&*handle.snapshot(), &truth, "live after the forced clone");
+    drop(pinned);
+    let recycled = handle.recycled_applies();
+    modify(N + 3, &mut truth);
+    assert_eq!(handle.recycled_applies(), recycled + 1, "recycling resumes once unpinned");
+    assert_serves(&*handle.snapshot(), &truth, "live after recycling resumed");
+    // The values retired around a retrain hold the drift it reset; none of
+    // them may come back as the base of a later apply.
+    let drifted = drift(handle);
+    handle.retrain_full().unwrap();
+    let reset = drift(handle);
+    for i in 1..=6 {
+        modify(N + 3 + i, &mut truth);
+        let after = drift(handle);
+        assert!(
+            after <= reset + i as f64 / f64::from(RECYCLE_RULES) && after < drifted / 2.0,
+            "drift {drifted}, {reset} after the retrain, {after} after {i} modifies: \
+             a pre-retrain value came back"
+        );
+        assert_serves(&*handle.snapshot(), &truth, "live after the retrain");
+    }
+}
+
+#[test]
+fn steady_state_applies_recycle_and_a_pinned_spare_forces_a_clone() {
+    steady_state_recycles(&whole_handle(), |h| h.snapshot().engine().remainder_fraction());
+    steady_state_recycles(&sharded_handle(), ShardedHandle::remainder_fraction);
 }
